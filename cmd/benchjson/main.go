@@ -65,7 +65,7 @@ type Report struct {
 }
 
 // QErrEntry is one fingerprint's worst cardinality misestimate, as
-// accumulated by the base config's estimate store from one untimed
+// accumulated in the base config's statement store from one untimed
 // EXPLAIN ANALYZE execution per benchmark query.
 type QErrEntry struct {
 	Fingerprint string  `json:"fingerprint"`

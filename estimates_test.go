@@ -131,3 +131,49 @@ func TestEstimatesFeedStore(t *testing.T) {
 		t.Fatal("worst_op is empty")
 	}
 }
+
+// TestEstimatesRuntimeFilterNotPlannerError: a hash join whose build side
+// shares no key with the probe side prunes every probe row at the scan
+// through its runtime filter. The scan's estimate is its relation's
+// exact size and the filter's pruning is not planner error, so the scan
+// scores q-error 1 — both in EXPLAIN ANALYZE and in perm_stat_estimates —
+// while the rf= annotation still reports what the filter dropped.
+func TestEstimatesRuntimeFilterNotPlannerError(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: -1, Parallelism: 1})
+	db.MustExec("CREATE TABLE probe (a INT)")
+	db.MustExec("CREATE TABLE build (a INT)")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO probe VALUES (1)")
+	for i := 2; i <= 400; i++ {
+		sb.WriteString(",(" + strconv.Itoa(i) + ")")
+	}
+	db.MustExec(sb.String())
+	db.MustExec("INSERT INTO build VALUES (1000),(1001),(1002),(1003),(1004)")
+
+	res, report, err := db.QueryAnalyzed("SELECT probe.a FROM probe, build WHERE probe.a = build.a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("join returned %d rows, want 0", len(res.Rows))
+	}
+	var scan string
+	for _, line := range strings.Split(report, "\n") {
+		if strings.Contains(line, "VecScan (400 rows, RuntimeFilter)") {
+			scan = line
+		}
+	}
+	if scan == "" {
+		t.Fatalf("no runtime-filtered probe scan in\n%s", report)
+	}
+	for _, want := range []string{"rows=0 ", "est=400 ", "act=400 ", "qerr=1.00 ", "rf=0/400 admitted"} {
+		if !strings.Contains(scan, want) {
+			t.Fatalf("probe scan line lacks %q: %s", want, scan)
+		}
+	}
+	for _, r := range db.TopMisestimates(0) {
+		if r.WorstOp == "VecScan" && r.WorstAct == 0 {
+			t.Fatalf("perm_stat_estimates scored runtime-filter pruning as planner error: %+v", r)
+		}
+	}
+}

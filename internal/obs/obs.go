@@ -164,8 +164,7 @@ var (
 	// Plan-health counters: PlanFlips counts recompilations where a
 	// statement fingerprint's physical plan hash changed (stats drift,
 	// catalog bump, SET change); StmtEvictions counts fingerprints
-	// dropped from the perm_stat_statements registry under capacity
-	// pressure.
+	// dropped from the per-statement store under capacity pressure.
 	PlanFlips     Counter
 	StmtEvictions Counter
 )

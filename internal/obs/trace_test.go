@@ -145,43 +145,6 @@ func TestActivityRegistryAndCancel(t *testing.T) {
 	}
 }
 
-func TestStmtStatsObserveAndEvict(t *testing.T) {
-	s := NewStmtStats(4)
-	for i := 0; i < 3; i++ {
-		s.Observe("fp-hot", "select hot", time.Millisecond, 10, false)
-	}
-	s.Observe("fp-err", "select err", time.Millisecond, 0, true)
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("Snapshot len = %d, want 2", len(snap))
-	}
-	hot := snap[0] // most-called first
-	if hot.Fingerprint != "fp-hot" || hot.Calls != 3 || hot.Rows != 30 {
-		t.Fatalf("hot stat = %+v", hot)
-	}
-	if snap[1].Errors != 1 {
-		t.Fatalf("error stat = %+v", snap[1])
-	}
-	// Capacity 4: pushing 4 fresh fingerprints evicts the least recently
-	// used entries, never growing past cap.
-	for i := 0; i < 4; i++ {
-		s.Observe(fmt.Sprintf("fp-new-%d", i), "select new", time.Millisecond, 1, false)
-	}
-	if got := s.Len(); got != 4 {
-		t.Fatalf("Len after eviction = %d, want 4", got)
-	}
-	// The most recently touched fingerprints survive.
-	found := false
-	for _, st := range s.Snapshot() {
-		if st.Fingerprint == "fp-new-3" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("most recently observed fingerprint was evicted")
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram(10, 100, 1000)
 	for i := 0; i < 100; i++ {

@@ -1,4 +1,12 @@
-// EXPLAIN ANALYZE: post-plan instrumentation and annotated rendering.
+// EXPLAIN, EXPLAIN ANALYZE and the per-operator harvests over physical
+// plans of both engines.
+//
+// Every walk over a plan tree goes through two functions: eachChild, the
+// one place that knows each operator's children, and describe, the one
+// place that knows each operator's labels. Explain, ExplainAnalyzed,
+// Instrument, OperatorSpans, OperatorEstimates, Hash and vnodeShape are
+// thin uses of them, so they cannot disagree about which operators a
+// tree holds.
 //
 // Instrument wraps a freshly planned tree with probe nodes (exec.Probe /
 // vexec.Probe) that time every operator and count what it emits; the
@@ -24,75 +32,278 @@ import (
 	"perm/internal/vexec"
 )
 
+// eachChild calls f with the address of each child slot of operator n —
+// an *exec.Node or a *vexec.Node — in EXPLAIN order. A parallel
+// operator's child is its first worker replica's input (replicas are
+// validated to be shape-identical, so one stands for all; the operators
+// are always built with at least one), enumerated only when workers is
+// set.
+func eachChild(n any, workers bool, f func(slot any)) {
+	switch x := n.(type) {
+	case *exec.Filter:
+		f(&x.Input)
+	case *exec.Project:
+		f(&x.Input)
+	case *exec.NestedLoopJoin:
+		f(&x.Left)
+		f(&x.Right)
+	case *exec.HashJoin:
+		f(&x.Left)
+		f(&x.Right)
+	case *exec.HashAgg:
+		f(&x.Input)
+	case *exec.Sort:
+		f(&x.Input)
+	case *exec.Limit:
+		f(&x.Input)
+	case *exec.Distinct:
+		f(&x.Input)
+	case *exec.SetOp:
+		f(&x.Left)
+		f(&x.Right)
+	case *vexec.RowSource:
+		f(&x.Input)
+	case *vexec.Filter:
+		f(&x.Input)
+	case *vexec.Project:
+		f(&x.Input)
+	case *vexec.HashJoin:
+		f(&x.Left)
+		f(&x.Right)
+	case *vexec.NLJoin:
+		f(&x.Left)
+		f(&x.Right)
+	case *vexec.HashAgg:
+		f(&x.Input)
+	case *vexec.VecSort:
+		f(&x.Input)
+	case *vexec.VecTopN:
+		f(&x.Input)
+	case *vexec.VecLimit:
+		f(&x.Input)
+	case *vexec.VecDistinct:
+		f(&x.Input)
+	case *vexec.VecSetOp:
+		f(&x.Left)
+		f(&x.Right)
+	case *vexec.Exchange:
+		if workers {
+			f(&x.Workers[0].Input)
+		}
+	case *vexec.ParallelAgg:
+		if workers {
+			f(&x.Workers[0].Input)
+		}
+	case *vexec.ParallelSort:
+		if workers {
+			f(&x.Workers[0].Input)
+		}
+	}
+}
+
+// opDesc is what describe knows about one operator.
+type opDesc struct {
+	name  string // trace span and estimate name: the label's stem unless set explicitly
+	label string // EXPLAIN line
+	scan  bool   // a relation scan, whose table is folded into plan hashes
+	table string
+	// Filled only when describing an analyzed tree:
+	extra  []string // operator-specific EXPLAIN ANALYZE annotations
+	pruned int64    // rows runtime join filters removed at this scan
+}
+
+// describe renders operator n's labels; analyzed adds what only an
+// executed tree can report. Unknown operator types fall back to their Go
+// type name, which the walker tests reject.
+func describe(n any, analyzed bool) opDesc {
+	var d opDesc
+	switch x := n.(type) {
+	case *exec.Scan:
+		d.label = fmt.Sprintf("Scan (%d rows)", len(x.Rows))
+		d.scan, d.table = true, x.Table
+	case *exec.Filter:
+		d.label = "Filter"
+	case *exec.Project:
+		d.label = fmt.Sprintf("Project (%d cols)", len(x.Exprs))
+	case *exec.NestedLoopJoin:
+		d.label = fmt.Sprintf("NestedLoopJoin (%s)", joinName(x.Type))
+	case *exec.HashJoin:
+		d.label = fmt.Sprintf("HashJoin (%s, %d keys)", joinName(x.Type), len(x.LeftKeys))
+	case *exec.HashAgg:
+		d.label = fmt.Sprintf("HashAggregate (%d groups, %d aggs)", len(x.Groups), len(x.Aggs))
+	case *exec.Sort:
+		d.label = fmt.Sprintf("Sort (%d keys%s)", len(x.Keys), spillTag(x.Spill))
+		d.extra = resAnnot(analyzed, x.Spill)
+	case *exec.Limit:
+		d.label = "Limit"
+	case *exec.Distinct:
+		d.label = "Distinct"
+	case *exec.SetOp:
+		d.label = fmt.Sprintf("SetOp (%s, all=%v)", setOpName(x.Kind), x.All)
+	case *vexec.RowSource:
+		d.label = "BatchToRow"
+	case *vexec.ColScan:
+		d.scan, d.table = true, x.Table
+		if !x.HasRuntimeFilters() {
+			d.label = fmt.Sprintf("VecScan (%d rows)", x.NumRows)
+		} else {
+			d.label = fmt.Sprintf("VecScan (%d rows, RuntimeFilter)", x.NumRows)
+		}
+		if analyzed {
+			if m := x.MorselsTaken(); m > 0 {
+				d.extra = append(d.extra, fmt.Sprintf("morsels=%d", m))
+			}
+			if x.HasRuntimeFilters() {
+				tested, admitted := x.RuntimeFilterStats()
+				d.pruned = int64(tested - admitted)
+				d.extra = append(d.extra, fmt.Sprintf("rf=%d/%d admitted", admitted, tested))
+			}
+		}
+	case *vexec.Filter:
+		d.label = "VecFilter"
+	case *vexec.Project:
+		d.label = fmt.Sprintf("VecProject (%d cols)", len(x.Exprs))
+	case *vexec.HashJoin:
+		rf := ""
+		if x.PublishesFilters() {
+			rf = ", RuntimeFilter"
+		}
+		d.label = fmt.Sprintf("VecHashJoin (%s, %d keys%s%s)", vecJoinName(x.Type), len(x.LeftKeys), rf, spillTag(x.Spill))
+		d.extra = resAnnot(analyzed, x.Spill)
+	case *vexec.NLJoin:
+		d.label = fmt.Sprintf("VecNestedLoopJoin (%s)", vecJoinName(x.Type))
+	case *vexec.HashAgg:
+		d.label = fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s)", len(x.Groups), len(x.Aggs), spillTag(x.Spill))
+		d.extra = resAnnot(analyzed, x.Spill)
+	case *vexec.VecSort:
+		d.label = fmt.Sprintf("VecSort (%d keys%s)", len(x.Keys), spillTag(x.Spill))
+		d.extra = resAnnot(analyzed, x.Spill)
+	case *vexec.VecTopN:
+		d.label = fmt.Sprintf("VecTopN (%d keys, keep %d)", len(x.Keys), x.Offset+x.Count)
+	case *vexec.VecLimit:
+		d.label = "VecLimit"
+	case *vexec.VecDistinct:
+		d.label = "VecDistinct"
+		if tag := spillTag(x.Spill); tag != "" {
+			d.label = fmt.Sprintf("VecDistinct (%s)", tag[2:])
+			d.extra = resAnnot(analyzed, x.Spill)
+		}
+	case *vexec.VecSetOp:
+		d.label = fmt.Sprintf("VecSetOp (%s, all=%v%s)", setOpName(x.Kind), x.All, spillTag(x.Spill))
+		d.extra = resAnnot(analyzed, x.Spill)
+	case *vexec.Exchange:
+		d.label = fmt.Sprintf("Exchange (workers=%d)", len(x.Workers))
+		if analyzed {
+			d.extra = workerAnnot(x.Workers, func(w *vexec.MorselTap) (vexec.Node, spill.Resources) {
+				return w.Input, spill.Resources{}
+			})
+		}
+	case *vexec.ParallelAgg:
+		h := x.Workers[0]
+		d.name = "ParallelAgg"
+		d.label = fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s, workers=%d)",
+			len(h.Groups), len(h.Aggs), spillTag(h.Spill), len(x.Workers))
+		if analyzed {
+			d.extra = workerAnnot(x.Workers, func(w *vexec.HashAgg) (vexec.Node, spill.Resources) {
+				return w.Input, w.Spill
+			})
+		}
+	case *vexec.ParallelSort:
+		w0 := x.Workers[0]
+		d.name = "ParallelSort"
+		d.label = fmt.Sprintf("VecSort (%d keys%s, workers=%d)", len(w0.Keys), spillTag(w0.Spill), len(x.Workers))
+		if analyzed {
+			d.extra = workerAnnot(x.Workers, func(w *vexec.VecSort) (vexec.Node, spill.Resources) {
+				return w.Input, w.Spill
+			})
+		}
+	default:
+		d.label = fmt.Sprintf("%T", n)
+	}
+	if d.name == "" {
+		d.name, _, _ = strings.Cut(d.label, " (")
+	}
+	return d
+}
+
+// unwrap looks through probes and morsel taps to the operator they
+// wrap, returning it with the probe's measurements (nil when unprobed).
+func unwrap(n any) (any, *obs.OpStats) {
+	var st *obs.OpStats
+	for {
+		switch x := n.(type) {
+		case *exec.Probe:
+			n, st = x.Input, x.Stats
+		case *vexec.Probe:
+			n, st = x.Input, x.Stats
+		case *vexec.MorselTap:
+			n = x.Input
+		default:
+			return n, st
+		}
+	}
+}
+
+// walk visits the operator held in slot and then, in pre-order, every
+// operator below it, including the first worker replica under each
+// parallel operator. visit gets the operator with probes and taps looked
+// through, its probe's measurements (nil when unprobed), whether it is a
+// vectorized operator, and its depth below the starting slot.
+func walk(slot any, depth int, visit func(op any, st *obs.OpStats, vec bool, depth int)) {
+	var n any
+	vec := false
+	switch s := slot.(type) {
+	case *exec.Node:
+		n = *s
+	case *vexec.Node:
+		n, vec = *s, true
+	}
+	op, st := unwrap(n)
+	visit(op, st, vec, depth)
+	eachChild(op, true, func(c any) { walk(c, depth+1, visit) })
+}
+
+// appendLine appends one indented EXPLAIN line.
+func appendLine(out []byte, depth int, label, annotation string) []byte {
+	for i := 0; i < depth; i++ {
+		out = append(out, "  "...)
+	}
+	out = append(out, label...)
+	out = append(out, annotation...)
+	return append(out, '\n')
+}
+
+// Explain renders a plan tree as an indented string (EXPLAIN output).
+func Explain(n exec.Node) string { return explain(&n) }
+
+func explain(slot any) string {
+	var out []byte
+	walk(slot, 0, func(op any, _ *obs.OpStats, _ bool, depth int) {
+		out = appendLine(out, depth, describe(op, false).label, "")
+	})
+	return string(out)
+}
+
 // Instrument wraps every operator of a planned tree with an EXPLAIN
 // ANALYZE probe and returns the instrumented root. The tree is modified
 // in place (children are rewrapped); plan trees are per-execution, so
-// nothing shared is touched.
+// nothing shared is touched. Parallel operators are probed as a unit:
+// their worker subtrees run concurrently and must not share a
+// coordinator-side collector.
 func Instrument(n exec.Node) exec.Node {
-	return instrumentNode(n)
+	instrument(&n)
+	return n
 }
 
-func instrumentNode(n exec.Node) exec.Node {
-	switch x := n.(type) {
-	case *exec.Scan:
-	case *exec.Filter:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Project:
-		x.Input = instrumentNode(x.Input)
-	case *exec.NestedLoopJoin:
-		x.Left = instrumentNode(x.Left)
-		x.Right = instrumentNode(x.Right)
-	case *exec.HashJoin:
-		x.Left = instrumentNode(x.Left)
-		x.Right = instrumentNode(x.Right)
-	case *exec.HashAgg:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Sort:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Limit:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Distinct:
-		x.Input = instrumentNode(x.Input)
-	case *exec.SetOp:
-		x.Left = instrumentNode(x.Left)
-		x.Right = instrumentNode(x.Right)
-	case *vexec.RowSource:
-		x.Input = instrumentVNode(x.Input)
+func instrument(slot any) {
+	switch s := slot.(type) {
+	case *exec.Node:
+		eachChild(*s, false, instrument)
+		*s = exec.NewProbe(*s)
+	case *vexec.Node:
+		eachChild(*s, false, instrument)
+		*s = vexec.NewProbe(*s)
 	}
-	return exec.NewProbe(n)
-}
-
-func instrumentVNode(n vexec.Node) vexec.Node {
-	switch x := n.(type) {
-	case *vexec.ColScan:
-	case *vexec.Filter:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.Project:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.HashJoin:
-		x.Left = instrumentVNode(x.Left)
-		x.Right = instrumentVNode(x.Right)
-	case *vexec.NLJoin:
-		x.Left = instrumentVNode(x.Left)
-		x.Right = instrumentVNode(x.Right)
-	case *vexec.HashAgg:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecSort:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecTopN:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecLimit:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecDistinct:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecSetOp:
-		x.Left = instrumentVNode(x.Left)
-		x.Right = instrumentVNode(x.Right)
-	case *vexec.Exchange, *vexec.ParallelAgg, *vexec.ParallelSort:
-		// Probed as a unit; worker subtrees run concurrently and must not
-		// share a coordinator-side collector.
-	}
-	return vexec.NewProbe(n)
 }
 
 // ExplainAnalyzed renders an instrumented tree after execution: the
@@ -100,11 +311,14 @@ func instrumentVNode(n vexec.Node) vexec.Node {
 // plan-total summary line (wall time, peak memory reservation, spilled
 // bytes) so operators need not sum the per-operator rows by hand.
 func ExplainAnalyzed(n exec.Node, total time.Duration, peakMem, spilled int64) string {
-	var sb []byte
-	analyzeNode(n, 0, &sb)
-	sb = append(sb, fmt.Sprintf("Execution time: %s (peak memory %dB, spilled %dB)\n",
+	var out []byte
+	walk(&n, 0, func(op any, st *obs.OpStats, vec bool, depth int) {
+		d := describe(op, true)
+		out = appendLine(out, depth, d.label, annot(op, st, vec, d))
+	})
+	out = append(out, fmt.Sprintf("Execution time: %s (peak memory %dB, spilled %dB)\n",
 		fmtDur(total.Nanoseconds()), peakMem, spilled)...)
-	return string(sb)
+	return string(out)
 }
 
 // OperatorSpans harvests the probe measurements of an instrumented tree
@@ -114,308 +328,46 @@ func ExplainAnalyzed(n exec.Node, total time.Duration, peakMem, spilled int64) s
 // only.
 func OperatorSpans(n exec.Node) []obs.Span {
 	var spans []obs.Span
-	opSpans(n, 1, &spans)
+	walk(&n, 1, func(op any, st *obs.OpStats, _ bool, depth int) {
+		if st != nil {
+			spans = append(spans, obs.Span{Name: describe(op, false).name, Depth: depth, DurNS: st.TotalNS(), Rows: st.Rows})
+		}
+	})
 	return spans
 }
 
-func opSpans(n exec.Node, depth int, out *[]obs.Span) {
-	var st *obs.OpStats
-	if p, ok := n.(*exec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	if st != nil {
-		*out = append(*out, obs.Span{Name: opName(n), Depth: depth, DurNS: st.TotalNS(), Rows: st.Rows})
-	}
-	switch x := n.(type) {
-	case *exec.Filter:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Project:
-		opSpans(x.Input, depth+1, out)
-	case *exec.NestedLoopJoin:
-		opSpans(x.Left, depth+1, out)
-		opSpans(x.Right, depth+1, out)
-	case *exec.HashJoin:
-		opSpans(x.Left, depth+1, out)
-		opSpans(x.Right, depth+1, out)
-	case *exec.HashAgg:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Sort:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Limit:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Distinct:
-		opSpans(x.Input, depth+1, out)
-	case *exec.SetOp:
-		opSpans(x.Left, depth+1, out)
-		opSpans(x.Right, depth+1, out)
-	case *vexec.RowSource:
-		opSpansV(x.Input, depth+1, out)
-	}
+// OperatorEstimates harvests, after execution, one (operator name,
+// estimated rows, actual rows) triple per probed operator that carries a
+// planner estimate. The triples feed the per-fingerprint statement store
+// behind perm_stat_estimates, scored exactly as ExplainAnalyzed scores
+// them. Operators without an estimate or without a probe (parallel
+// worker replicas) are skipped — their enclosing parallel operator is
+// probed as a unit and reports for them.
+func OperatorEstimates(n exec.Node) []obs.OpEst {
+	var out []obs.OpEst
+	walk(&n, 0, func(op any, st *obs.OpStats, _ bool, _ int) {
+		if est := estOf(op); st != nil && est > 0 {
+			d := describe(op, true)
+			out = append(out, obs.OpEst{Op: d.name, EstRows: est, ActRows: actual(st, d)})
+		}
+	})
+	return out
 }
 
-func opSpansV(n vexec.Node, depth int, out *[]obs.Span) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		opSpansV(t.Input, depth, out)
-		return
-	}
-	var st *obs.OpStats
-	if p, ok := n.(*vexec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	if st != nil {
-		*out = append(*out, obs.Span{Name: opName(n), Depth: depth, DurNS: st.TotalNS(), Rows: st.Rows})
-	}
-	switch x := n.(type) {
-	case *vexec.Filter:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.Project:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.HashJoin:
-		opSpansV(x.Left, depth+1, out)
-		opSpansV(x.Right, depth+1, out)
-	case *vexec.NLJoin:
-		opSpansV(x.Left, depth+1, out)
-		opSpansV(x.Right, depth+1, out)
-	case *vexec.HashAgg:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecSort:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecTopN:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecLimit:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecDistinct:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecSetOp:
-		opSpansV(x.Left, depth+1, out)
-		opSpansV(x.Right, depth+1, out)
-	case *vexec.Exchange:
-		opSpansV(x.Workers[0].Input, depth+1, out)
-	case *vexec.ParallelAgg:
-		opSpansV(x.Workers[0].Input, depth+1, out)
-	case *vexec.ParallelSort:
-		opSpansV(x.Workers[0].Input, depth+1, out)
-	}
-}
-
-// opName returns the operator's EXPLAIN label stem for trace spans.
-func opName(n interface{}) string {
-	switch n.(type) {
-	case *exec.Scan:
-		return "Scan"
-	case *exec.Filter:
-		return "Filter"
-	case *exec.Project:
-		return "Project"
-	case *exec.NestedLoopJoin:
-		return "NestedLoopJoin"
-	case *exec.HashJoin:
-		return "HashJoin"
-	case *exec.HashAgg:
-		return "HashAggregate"
-	case *exec.Sort:
-		return "Sort"
-	case *exec.Limit:
-		return "Limit"
-	case *exec.Distinct:
-		return "Distinct"
-	case *exec.SetOp:
-		return "SetOp"
-	case *vexec.RowSource:
-		return "BatchToRow"
-	case *vexec.ColScan:
-		return "VecScan"
-	case *vexec.Filter:
-		return "VecFilter"
-	case *vexec.Project:
-		return "VecProject"
-	case *vexec.HashJoin:
-		return "VecHashJoin"
-	case *vexec.NLJoin:
-		return "VecNestedLoopJoin"
-	case *vexec.HashAgg:
-		return "VecHashAggregate"
-	case *vexec.VecSort:
-		return "VecSort"
-	case *vexec.VecTopN:
-		return "VecTopN"
-	case *vexec.VecLimit:
-		return "VecLimit"
-	case *vexec.VecDistinct:
-		return "VecDistinct"
-	case *vexec.VecSetOp:
-		return "VecSetOp"
-	case *vexec.Exchange:
-		return "Exchange"
-	case *vexec.ParallelAgg:
-		return "ParallelAgg"
-	case *vexec.ParallelSort:
-		return "ParallelSort"
-	default:
-		return fmt.Sprintf("%T", n)
-	}
-}
-
-func analyzeNode(n exec.Node, depth int, out *[]byte) {
-	var st *obs.OpStats
-	if p, ok := n.(*exec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	est := estOf(n)
-	line := func(label string, extra ...string) {
-		*out = append(*out, indent(depth)...)
-		*out = append(*out, label...)
-		*out = append(*out, annot(st, false, est, extra)...)
-		*out = append(*out, '\n')
-	}
-	switch x := n.(type) {
-	case *exec.Scan:
-		line(fmt.Sprintf("Scan (%d rows)", len(x.Rows)))
-	case *exec.Filter:
-		line("Filter")
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Project:
-		line(fmt.Sprintf("Project (%d cols)", len(x.Exprs)))
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.NestedLoopJoin:
-		line(fmt.Sprintf("NestedLoopJoin (%s)", joinName(x.Type)))
-		analyzeNode(x.Left, depth+1, out)
-		analyzeNode(x.Right, depth+1, out)
-	case *exec.HashJoin:
-		line(fmt.Sprintf("HashJoin (%s, %d keys)", joinName(x.Type), len(x.LeftKeys)))
-		analyzeNode(x.Left, depth+1, out)
-		analyzeNode(x.Right, depth+1, out)
-	case *exec.HashAgg:
-		line(fmt.Sprintf("HashAggregate (%d groups, %d aggs)", len(x.Groups), len(x.Aggs)))
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Sort:
-		line(fmt.Sprintf("Sort (%d keys%s)", len(x.Keys), spillTag(x.Spill)), resAnnot(x.Spill)...)
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Limit:
-		line("Limit")
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Distinct:
-		line("Distinct")
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.SetOp:
-		line(fmt.Sprintf("SetOp (%s, all=%v)", setOpName(x.Kind), x.All))
-		analyzeNode(x.Left, depth+1, out)
-		analyzeNode(x.Right, depth+1, out)
-	case *vexec.RowSource:
-		line("BatchToRow")
-		analyzeVNode(x.Input, depth+1, out)
-	default:
-		line(fmt.Sprintf("%T", n))
-	}
-}
-
-func analyzeVNode(n vexec.Node, depth int, out *[]byte) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		analyzeVNode(t.Input, depth, out)
-		return
-	}
-	var st *obs.OpStats
-	if p, ok := n.(*vexec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	est := estOf(n)
-	line := func(label string, extra ...string) {
-		*out = append(*out, indent(depth)...)
-		*out = append(*out, label...)
-		*out = append(*out, annot(st, true, est, extra)...)
-		*out = append(*out, '\n')
-	}
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		label := fmt.Sprintf("VecScan (%d rows)", x.NumRows)
-		if x.HasRuntimeFilters() {
-			label = fmt.Sprintf("VecScan (%d rows, RuntimeFilter)", x.NumRows)
-		}
-		line(label, scanAnnot(x)...)
-	case *vexec.Filter:
-		line("VecFilter")
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.Project:
-		line(fmt.Sprintf("VecProject (%d cols)", len(x.Exprs)))
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.HashJoin:
-		rf := ""
-		if x.PublishesFilters() {
-			rf = ", RuntimeFilter"
-		}
-		line(fmt.Sprintf("VecHashJoin (%s, %d keys%s%s)", vecJoinName(x.Type), len(x.LeftKeys), rf, spillTag(x.Spill)),
-			resAnnot(x.Spill)...)
-		analyzeVNode(x.Left, depth+1, out)
-		analyzeVNode(x.Right, depth+1, out)
-	case *vexec.NLJoin:
-		line(fmt.Sprintf("VecNestedLoopJoin (%s)", vecJoinName(x.Type)))
-		analyzeVNode(x.Left, depth+1, out)
-		analyzeVNode(x.Right, depth+1, out)
-	case *vexec.HashAgg:
-		line(fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s)", len(x.Groups), len(x.Aggs), spillTag(x.Spill)),
-			resAnnot(x.Spill)...)
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecSort:
-		line(fmt.Sprintf("VecSort (%d keys%s)", len(x.Keys), spillTag(x.Spill)), resAnnot(x.Spill)...)
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecTopN:
-		line(fmt.Sprintf("VecTopN (%d keys, keep %d)", len(x.Keys), x.Offset+x.Count))
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecLimit:
-		line("VecLimit")
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecDistinct:
-		if tag := spillTag(x.Spill); tag != "" {
-			line(fmt.Sprintf("VecDistinct (%s)", tag[2:]), resAnnot(x.Spill)...)
-		} else {
-			line("VecDistinct")
-		}
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecSetOp:
-		line(fmt.Sprintf("VecSetOp (%s, all=%v%s)", setOpName(x.Kind), x.All, spillTag(x.Spill)),
-			resAnnot(x.Spill)...)
-		analyzeVNode(x.Left, depth+1, out)
-		analyzeVNode(x.Right, depth+1, out)
-	case *vexec.Exchange:
-		drivers := make([]*vexec.ColScan, len(x.Workers))
-		for i, w := range x.Workers {
-			drivers[i] = spineDriver(w.Input)
-		}
-		line(fmt.Sprintf("Exchange (workers=%d)", len(x.Workers)), workerAnnot(drivers, nil)...)
-		analyzeVNode(x.Workers[0].Input, depth+1, out)
-	case *vexec.ParallelAgg:
-		h := x.Workers[0]
-		drivers := make([]*vexec.ColScan, len(x.Workers))
-		res := make([]spill.Resources, len(x.Workers))
-		for i, w := range x.Workers {
-			drivers[i] = spineDriver(w.Input)
-			res[i] = w.Spill
-		}
-		line(fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s, workers=%d)",
-			len(h.Groups), len(h.Aggs), spillTag(h.Spill), len(x.Workers)), workerAnnot(drivers, res)...)
-		analyzeVNode(h.Input, depth+1, out)
-	case *vexec.ParallelSort:
-		w0 := x.Workers[0]
-		drivers := make([]*vexec.ColScan, len(x.Workers))
-		res := make([]spill.Resources, len(x.Workers))
-		for i, w := range x.Workers {
-			drivers[i] = spineDriver(w.Input)
-			res[i] = w.Spill
-		}
-		line(fmt.Sprintf("VecSort (%d keys%s, workers=%d)",
-			len(w0.Keys), spillTag(w0.Spill), len(x.Workers)), workerAnnot(drivers, res)...)
-		analyzeVNode(w0.Input, depth+1, out)
-	default:
-		line(fmt.Sprintf("%T", n))
-	}
-}
+// actual is the row count an operator's estimate is scored against: what
+// it produced before runtime join filters pruned it. A scan's estimate
+// models its relation, not the filters a join publishes into it, so
+// scoring the filtered output would report the filters' selectivity as
+// planner error. Each pruned lane counts once, at the binding that
+// rejected it, so emitted plus pruned is exact.
+func actual(st *obs.OpStats, d opDesc) int64 { return st.Rows + d.pruned }
 
 // annot renders the shared probe annotation: wall time, emitted rows,
 // and (vectorized) batches, then the planner's cardinality estimate next
-// to the observed actual and their q-error, plus any operator-specific
+// to the actual rows and their q-error, plus any operator-specific
 // extras. Nodes without a probe (worker replica subtrees) still show
 // their estimate and extras.
-func annot(st *obs.OpStats, vec bool, est float64, extra []string) string {
+func annot(op any, st *obs.OpStats, vec bool, d opDesc) string {
 	var parts []string
 	if st != nil {
 		parts = append(parts, "time="+fmtDur(st.TotalNS()), fmt.Sprintf("rows=%d", st.Rows))
@@ -423,14 +375,14 @@ func annot(st *obs.OpStats, vec bool, est float64, extra []string) string {
 			parts = append(parts, fmt.Sprintf("batches=%d", st.Batches))
 		}
 	}
-	if est > 0 {
+	if est := estOf(op); est > 0 {
 		parts = append(parts, fmt.Sprintf("est=%.0f", est))
 		if st != nil {
-			parts = append(parts, fmt.Sprintf("act=%d", st.Rows),
-				fmt.Sprintf("qerr=%.2f", obs.QError(est, st.Rows)))
+			act := actual(st, d)
+			parts = append(parts, fmt.Sprintf("act=%d", act), fmt.Sprintf("qerr=%.2f", obs.QError(est, act)))
 		}
 	}
-	parts = append(parts, extra...)
+	parts = append(parts, d.extra...)
 	if len(parts) == 0 {
 		return ""
 	}
@@ -440,19 +392,10 @@ func annot(st *obs.OpStats, vec bool, est float64, extra []string) string {
 // estOf reads a node's planner cardinality estimate, looking through
 // probes, morsel taps and estimate-less batch→row adapters (the adapter
 // emits exactly what its input does). 0 means no estimate.
-func estOf(n interface{}) float64 {
-	switch x := n.(type) {
-	case *exec.Probe:
-		return estOf(x.Input)
-	case *vexec.Probe:
-		return estOf(x.Input)
-	case *vexec.MorselTap:
-		return estOf(x.Input)
-	case *vexec.RowSource:
-		if x.EstRows > 0 {
-			return x.EstRows
-		}
-		return estOf(x.Input)
+func estOf(n any) float64 {
+	n, _ = unwrap(n)
+	if rs, ok := n.(*vexec.RowSource); ok && rs.EstRows <= 0 {
+		return estOf(rs.Input)
 	}
 	if c, ok := n.(interface{ EstimatedRows() float64 }); ok {
 		return c.EstimatedRows()
@@ -460,11 +403,12 @@ func estOf(n interface{}) float64 {
 	return 0
 }
 
-// resAnnot renders a spill-capable operator's memory annotation from its
-// reservation: peak bytes held, and spill events/bytes when it spilled.
-func resAnnot(res spill.Resources) []string {
+// resAnnot renders an analyzed spill-capable operator's memory
+// annotation from its reservation: peak bytes held, and spill
+// events/bytes when it spilled.
+func resAnnot(analyzed bool, res spill.Resources) []string {
 	r := res.Res
-	if r == nil {
+	if !analyzed || r == nil {
 		return nil
 	}
 	var parts []string
@@ -477,47 +421,25 @@ func resAnnot(res spill.Resources) []string {
 	return parts
 }
 
-// scanAnnot renders a columnar scan's morsel count (parallel workers)
-// and runtime-filter selectivity.
-func scanAnnot(s *vexec.ColScan) []string {
-	var parts []string
-	if n := s.MorselsTaken(); n > 0 {
-		parts = append(parts, fmt.Sprintf("morsels=%d", n))
-	}
-	if s.HasRuntimeFilters() {
-		tested, admitted := s.RuntimeFilterStats()
-		parts = append(parts, fmt.Sprintf("rf=%d/%d admitted", admitted, tested))
-	}
-	return parts
-}
-
 // workerAnnot renders a parallel operator's per-worker morsel counts and
-// aggregated worker spill counters (read after the operator's barrier).
-func workerAnnot(drivers []*vexec.ColScan, res []spill.Resources) []string {
-	counts := make([]int, len(drivers))
-	for i, d := range drivers {
-		if d != nil {
+// aggregated worker spill counters (read after the operator's barrier);
+// worker returns a replica's input and spill resources.
+func workerAnnot[W any](workers []W, worker func(W) (vexec.Node, spill.Resources)) []string {
+	counts := make([]int, len(workers))
+	var events, bytes int64
+	for i, w := range workers {
+		in, res := worker(w)
+		if d := spineDriver(in); d != nil {
 			counts[i] = d.MorselsTaken()
 		}
+		events += res.Res.SpillEvents()
+		bytes += res.Res.SpillBytes()
 	}
 	parts := []string{fmt.Sprintf("morsels/worker=%v", counts)}
-	var events, bytes int64
-	for _, rs := range res {
-		events += rs.Res.SpillEvents()
-		bytes += rs.Res.SpillBytes()
-	}
 	if events > 0 {
 		parts = append(parts, fmt.Sprintf("spills=%d spilled=%dB", events, bytes))
 	}
 	return parts
-}
-
-func indent(depth int) []byte {
-	b := make([]byte, depth*2)
-	for i := range b {
-		b[i] = ' '
-	}
-	return b
 }
 
 // fmtDur renders nanoseconds rounded to the microsecond (exact below

@@ -1,104 +1,10 @@
-// Plan-health plumbing: harvesting per-operator (estimate, actual)
-// pairs from an instrumented tree for the misestimation store, and the
-// structural plan hash behind the plan-flip history.
+// The structural plan hash behind the plan-flip history.
 package plan
 
 import (
 	"perm/internal/exec"
 	"perm/internal/obs"
-	"perm/internal/vexec"
 )
-
-// OperatorEstimates harvests, after execution, one (operator label,
-// estimated rows, actual rows) triple per probed operator that carries a
-// planner estimate. The triples feed the per-fingerprint misestimation
-// store behind perm_stat_estimates. Operators without an estimate or
-// without a probe (parallel worker replicas) are skipped — their
-// enclosing parallel operator is probed as a unit and reports for them.
-func OperatorEstimates(n exec.Node) []obs.OpEst {
-	var out []obs.OpEst
-	opEsts(n, &out)
-	return out
-}
-
-func harvestOp(n interface{}, st *obs.OpStats, out *[]obs.OpEst) {
-	if st == nil {
-		return
-	}
-	if est := estOf(n); est > 0 {
-		*out = append(*out, obs.OpEst{Op: opName(n), EstRows: est, ActRows: st.Rows})
-	}
-}
-
-func opEsts(n exec.Node, out *[]obs.OpEst) {
-	var st *obs.OpStats
-	if p, ok := n.(*exec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	harvestOp(n, st, out)
-	switch x := n.(type) {
-	case *exec.Filter:
-		opEsts(x.Input, out)
-	case *exec.Project:
-		opEsts(x.Input, out)
-	case *exec.NestedLoopJoin:
-		opEsts(x.Left, out)
-		opEsts(x.Right, out)
-	case *exec.HashJoin:
-		opEsts(x.Left, out)
-		opEsts(x.Right, out)
-	case *exec.HashAgg:
-		opEsts(x.Input, out)
-	case *exec.Sort:
-		opEsts(x.Input, out)
-	case *exec.Limit:
-		opEsts(x.Input, out)
-	case *exec.Distinct:
-		opEsts(x.Input, out)
-	case *exec.SetOp:
-		opEsts(x.Left, out)
-		opEsts(x.Right, out)
-	case *vexec.RowSource:
-		opEstsV(x.Input, out)
-	}
-}
-
-func opEstsV(n vexec.Node, out *[]obs.OpEst) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		opEstsV(t.Input, out)
-		return
-	}
-	var st *obs.OpStats
-	if p, ok := n.(*vexec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	harvestOp(n, st, out)
-	switch x := n.(type) {
-	case *vexec.Filter:
-		opEstsV(x.Input, out)
-	case *vexec.Project:
-		opEstsV(x.Input, out)
-	case *vexec.HashJoin:
-		opEstsV(x.Left, out)
-		opEstsV(x.Right, out)
-	case *vexec.NLJoin:
-		opEstsV(x.Left, out)
-		opEstsV(x.Right, out)
-	case *vexec.HashAgg:
-		opEstsV(x.Input, out)
-	case *vexec.VecSort:
-		opEstsV(x.Input, out)
-	case *vexec.VecTopN:
-		opEstsV(x.Input, out)
-	case *vexec.VecLimit:
-		opEstsV(x.Input, out)
-	case *vexec.VecDistinct:
-		opEstsV(x.Input, out)
-	case *vexec.VecSetOp:
-		opEstsV(x.Left, out)
-		opEstsV(x.Right, out)
-	}
-}
 
 // Hash returns a structural fingerprint of a physical plan: FNV-64a over
 // the EXPLAIN rendering with every digit run collapsed to one mask byte,
@@ -114,11 +20,17 @@ func opEstsV(n vexec.Node, out *[]obs.OpEst) {
 // Computed on fresh compiles only, so the cache-hit hot path never
 // renders a plan.
 func Hash(n exec.Node) uint64 {
-	s := Explain(n)
+	var text, scans []byte
+	walk(&n, 0, func(op any, _ *obs.OpStats, _ bool, depth int) {
+		d := describe(op, false)
+		text = appendLine(text, depth, d.label, "")
+		if d.scan {
+			scans = append(append(scans, 0), d.table...)
+		}
+	})
 	h := fnvOffset64
 	inDigits := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	for _, c := range text {
 		if c >= '0' && c <= '9' {
 			if !inDigits {
 				h = fnvByte(h, '#')
@@ -129,7 +41,9 @@ func Hash(n exec.Node) uint64 {
 		inDigits = false
 		h = fnvByte(h, c)
 	}
-	hashScans(n, &h)
+	for _, c := range scans {
+		h = fnvByte(h, c)
+	}
 	return h
 }
 
@@ -142,89 +56,4 @@ func fnvByte(h uint64, c byte) uint64 {
 	h ^= uint64(c)
 	h *= fnvPrime64
 	return h
-}
-
-func hashName(h *uint64, name string) {
-	*h = fnvByte(*h, 0)
-	for i := 0; i < len(name); i++ {
-		*h = fnvByte(*h, name[i])
-	}
-}
-
-// hashScans folds every scan's relation name into the hash, in the same
-// deterministic traversal order EXPLAIN uses. Parallel operators fold
-// their first worker replica: replication is validated to be
-// shape-identical, so one replica carries the full structure.
-func hashScans(n exec.Node, h *uint64) {
-	switch x := n.(type) {
-	case *exec.Scan:
-		hashName(h, x.Table)
-	case *exec.Filter:
-		hashScans(x.Input, h)
-	case *exec.Project:
-		hashScans(x.Input, h)
-	case *exec.NestedLoopJoin:
-		hashScans(x.Left, h)
-		hashScans(x.Right, h)
-	case *exec.HashJoin:
-		hashScans(x.Left, h)
-		hashScans(x.Right, h)
-	case *exec.HashAgg:
-		hashScans(x.Input, h)
-	case *exec.Sort:
-		hashScans(x.Input, h)
-	case *exec.Limit:
-		hashScans(x.Input, h)
-	case *exec.Distinct:
-		hashScans(x.Input, h)
-	case *exec.SetOp:
-		hashScans(x.Left, h)
-		hashScans(x.Right, h)
-	case *vexec.RowSource:
-		hashScansV(x.Input, h)
-	}
-}
-
-func hashScansV(n vexec.Node, h *uint64) {
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		hashName(h, x.Table)
-	case *vexec.MorselTap:
-		hashScansV(x.Input, h)
-	case *vexec.Filter:
-		hashScansV(x.Input, h)
-	case *vexec.Project:
-		hashScansV(x.Input, h)
-	case *vexec.HashJoin:
-		hashScansV(x.Left, h)
-		hashScansV(x.Right, h)
-	case *vexec.NLJoin:
-		hashScansV(x.Left, h)
-		hashScansV(x.Right, h)
-	case *vexec.HashAgg:
-		hashScansV(x.Input, h)
-	case *vexec.VecSort:
-		hashScansV(x.Input, h)
-	case *vexec.VecTopN:
-		hashScansV(x.Input, h)
-	case *vexec.VecLimit:
-		hashScansV(x.Input, h)
-	case *vexec.VecDistinct:
-		hashScansV(x.Input, h)
-	case *vexec.VecSetOp:
-		hashScansV(x.Left, h)
-		hashScansV(x.Right, h)
-	case *vexec.Exchange:
-		if len(x.Workers) > 0 {
-			hashScansV(x.Workers[0], h)
-		}
-	case *vexec.ParallelAgg:
-		if len(x.Workers) > 0 {
-			hashScansV(x.Workers[0], h)
-		}
-	case *vexec.ParallelSort:
-		if len(x.Workers) > 0 {
-			hashScansV(x.Workers[0], h)
-		}
-	}
 }

@@ -329,11 +329,7 @@ func setWrapperChild(n, child vexec.Node) {
 
 // vnodeShape renders a vectorized tree to its EXPLAIN string, the
 // structural fingerprint replicas are validated against.
-func vnodeShape(n vexec.Node) string {
-	var sb []byte
-	explainVNode(n, 0, &sb)
-	return string(sb)
-}
+func vnodeShape(n vexec.Node) string { return explain(&n) }
 
 // sameSnapshot reports whether two scans read the identical columnar
 // snapshot. SnapshotColumns caches pointer-stable vectors per heap

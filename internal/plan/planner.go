@@ -188,6 +188,15 @@ func setFragEst(pl *planned, est float64) {
 	setEstNode(pl.node, est)
 }
 
+// setScanEst annotates a fresh scan fragment's physical operators with
+// the snapshot's exact row count. The fragment's bookkeeping estimate
+// stays at n+1 (join ordering and build-side choice are tuned to it);
+// EXPLAIN ANALYZE compares the annotation with the rows actually read.
+func setScanEst(pl *planned, n int) {
+	setEstNode(pl.vnode, float64(n))
+	setEstNode(pl.node, float64(n))
+}
+
 // demote reverts a fragment that is still a bare columnar scan to the
 // row-engine scan. The adapter over a bare scan only boxes rows the heap
 // already stores, so a row-only consumer is strictly better off with the
@@ -197,10 +206,10 @@ func demote(pl *planned) {
 	if pl.vnode == nil || pl.rowScan == nil {
 		return
 	}
-	if _, ok := pl.vnode.(*vexec.ColScan); ok {
+	if scan, ok := pl.vnode.(*vexec.ColScan); ok {
 		pl.node = pl.rowScan()
 		pl.vnode = nil
-		setEstNode(pl.node, pl.est)
+		setEstNode(pl.node, scan.EstRows)
 	}
 }
 
@@ -1558,7 +1567,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 					},
 				}
 				p.setVNode(pl, scan)
-				setFragEst(pl, pl.est)
+				setScanEst(pl, n)
 				return pl, nil
 			}
 		}
@@ -1574,7 +1583,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			rts:    map[int]bool{rt: true},
 			est:    float64(len(rows)) + 1,
 		}
-		setEstNode(pl.node, pl.est)
+		setScanEst(pl, len(rows))
 		return pl, nil
 	case algebra.RTESubquery:
 		sub, err := p.planQuery(rte.Subquery)
@@ -1623,7 +1632,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			rts:    map[int]bool{rt: true},
 			est:    float64(len(rows)) + 1,
 		}
-		setEstNode(pl.node, pl.est)
+		setScanEst(pl, len(rows))
 		return pl, nil
 	default:
 		return nil, fmt.Errorf("plan: unknown RTE kind %d", rte.Kind)
@@ -1656,7 +1665,7 @@ func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable)
 				return rs
 			}
 			p.setVNode(pl, scan)
-			setFragEst(pl, pl.est)
+			setScanEst(pl, len(rows))
 			return pl, nil
 		}
 	}
@@ -1664,7 +1673,7 @@ func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable)
 	rs.Table = v.Name
 	rs.SetActivity(p.activity)
 	pl.node = rs
-	setEstNode(pl.node, pl.est)
+	setScanEst(pl, len(rows))
 	return pl, nil
 }
 
@@ -2163,138 +2172,6 @@ func cmpSatisfies(c int, op string) bool {
 		return c >= 0
 	default:
 		return false
-	}
-}
-
-// Explain renders a plan tree as an indented string (EXPLAIN output).
-func Explain(n exec.Node) string {
-	var sb []byte
-	explainNode(n, 0, &sb)
-	return string(sb)
-}
-
-func explainNode(n exec.Node, depth int, out *[]byte) {
-	indent := make([]byte, depth*2)
-	for i := range indent {
-		indent[i] = ' '
-	}
-	*out = append(*out, indent...)
-	switch x := n.(type) {
-	case *exec.Scan:
-		*out = append(*out, fmt.Sprintf("Scan (%d rows)\n", len(x.Rows))...)
-	case *exec.Filter:
-		*out = append(*out, "Filter\n"...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Project:
-		*out = append(*out, fmt.Sprintf("Project (%d cols)\n", len(x.Exprs))...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.NestedLoopJoin:
-		*out = append(*out, fmt.Sprintf("NestedLoopJoin (%s)\n", joinName(x.Type))...)
-		explainNode(x.Left, depth+1, out)
-		explainNode(x.Right, depth+1, out)
-	case *exec.HashJoin:
-		*out = append(*out, fmt.Sprintf("HashJoin (%s, %d keys)\n", joinName(x.Type), len(x.LeftKeys))...)
-		explainNode(x.Left, depth+1, out)
-		explainNode(x.Right, depth+1, out)
-	case *exec.HashAgg:
-		*out = append(*out, fmt.Sprintf("HashAggregate (%d groups, %d aggs)\n", len(x.Groups), len(x.Aggs))...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Sort:
-		*out = append(*out, fmt.Sprintf("Sort (%d keys%s)\n", len(x.Keys), spillTag(x.Spill))...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Limit:
-		*out = append(*out, "Limit\n"...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Distinct:
-		*out = append(*out, "Distinct\n"...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.SetOp:
-		*out = append(*out, fmt.Sprintf("SetOp (%s, all=%v)\n", setOpName(x.Kind), x.All)...)
-		explainNode(x.Left, depth+1, out)
-		explainNode(x.Right, depth+1, out)
-	case *vexec.RowSource:
-		*out = append(*out, "BatchToRow\n"...)
-		explainVNode(x.Input, depth+1, out)
-	default:
-		*out = append(*out, fmt.Sprintf("%T\n", n)...)
-	}
-}
-
-// explainVNode renders a vectorized subtree (below a BatchToRow adapter).
-func explainVNode(n vexec.Node, depth int, out *[]byte) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		// Transparent plumbing: render the worker subtree it wraps.
-		explainVNode(t.Input, depth, out)
-		return
-	}
-	indent := make([]byte, depth*2)
-	for i := range indent {
-		indent[i] = ' '
-	}
-	*out = append(*out, indent...)
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		if x.HasRuntimeFilters() {
-			*out = append(*out, fmt.Sprintf("VecScan (%d rows, RuntimeFilter)\n", x.NumRows)...)
-		} else {
-			*out = append(*out, fmt.Sprintf("VecScan (%d rows)\n", x.NumRows)...)
-		}
-	case *vexec.Filter:
-		*out = append(*out, "VecFilter\n"...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.Project:
-		*out = append(*out, fmt.Sprintf("VecProject (%d cols)\n", len(x.Exprs))...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.HashJoin:
-		if x.PublishesFilters() {
-			*out = append(*out, fmt.Sprintf("VecHashJoin (%s, %d keys, RuntimeFilter%s)\n", vecJoinName(x.Type), len(x.LeftKeys), spillTag(x.Spill))...)
-		} else {
-			*out = append(*out, fmt.Sprintf("VecHashJoin (%s, %d keys%s)\n", vecJoinName(x.Type), len(x.LeftKeys), spillTag(x.Spill))...)
-		}
-		explainVNode(x.Left, depth+1, out)
-		explainVNode(x.Right, depth+1, out)
-	case *vexec.NLJoin:
-		*out = append(*out, fmt.Sprintf("VecNestedLoopJoin (%s)\n", vecJoinName(x.Type))...)
-		explainVNode(x.Left, depth+1, out)
-		explainVNode(x.Right, depth+1, out)
-	case *vexec.HashAgg:
-		*out = append(*out, fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s)\n", len(x.Groups), len(x.Aggs), spillTag(x.Spill))...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecSort:
-		*out = append(*out, fmt.Sprintf("VecSort (%d keys%s)\n", len(x.Keys), spillTag(x.Spill))...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecTopN:
-		*out = append(*out, fmt.Sprintf("VecTopN (%d keys, keep %d)\n", len(x.Keys), x.Offset+x.Count)...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecLimit:
-		*out = append(*out, "VecLimit\n"...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecDistinct:
-		if tag := spillTag(x.Spill); tag != "" {
-			*out = append(*out, fmt.Sprintf("VecDistinct (%s)\n", tag[2:])...)
-		} else {
-			*out = append(*out, "VecDistinct\n"...)
-		}
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecSetOp:
-		*out = append(*out, fmt.Sprintf("VecSetOp (%s, all=%v%s)\n", setOpName(x.Kind), x.All, spillTag(x.Spill))...)
-		explainVNode(x.Left, depth+1, out)
-		explainVNode(x.Right, depth+1, out)
-	case *vexec.Exchange:
-		*out = append(*out, fmt.Sprintf("Exchange (workers=%d)\n", len(x.Workers))...)
-		explainVNode(x.Workers[0], depth+1, out)
-	case *vexec.ParallelAgg:
-		h := x.Workers[0]
-		*out = append(*out, fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s, workers=%d)\n",
-			len(h.Groups), len(h.Aggs), spillTag(h.Spill), len(x.Workers))...)
-		explainVNode(h.Input, depth+1, out)
-	case *vexec.ParallelSort:
-		w := x.Workers[0]
-		*out = append(*out, fmt.Sprintf("VecSort (%d keys%s, workers=%d)\n",
-			len(w.Keys), spillTag(w.Spill), len(x.Workers))...)
-		explainVNode(w.Input, depth+1, out)
-	default:
-		*out = append(*out, fmt.Sprintf("%T\n", n)...)
 	}
 }
 

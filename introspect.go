@@ -24,15 +24,13 @@ import (
 // derived from one NewDatabase call (WithOptions copies the pointer,
 // like the catalog and the governor): the query-ID allocator, the span
 // tracer and its ring buffer, the active-query registry, per-fingerprint
-// statement statistics, and the lazily built shared metrics registry.
+// statement records, and the lazily built shared metrics registry.
 type engineCore struct {
 	qid        atomic.Uint64
 	sessionSeq atomic.Int64
 	tracer     *obs.Tracer
 	activity   *obs.Activity
-	stmts      *obs.StmtStats
-	ests       *obs.EstStore
-	plans      *obs.PlanStore
+	stmts      *obs.StmtStore
 
 	metricsOnce sync.Once
 	metricsReg  *obs.Registry
@@ -42,9 +40,7 @@ func newEngineCore() *engineCore {
 	return &engineCore{
 		tracer:   obs.NewTracer(obs.DefaultTraceCapacity),
 		activity: obs.NewActivity(),
-		stmts:    obs.NewStmtStats(0),
-		ests:     obs.NewEstStore(0),
-		plans:    obs.NewPlanStore(0, 0),
+		stmts:    obs.NewStmtStore(0, 0),
 	}
 }
 
@@ -130,7 +126,7 @@ type queryRun struct {
 	timer *time.Timer
 	// fresh marks that this statement's compiled artifact was built this
 	// run (a cache miss): the execution that follows hashes its physical
-	// plan into the plan-flip store. Cache hits replay a tree the store
+	// plan into its statement record. Cache hits replay a tree the store
 	// has already seen, so hashing them would only re-render plans.
 	fresh bool
 }
@@ -214,7 +210,6 @@ func (qr *queryRun) finish(err error) {
 	dur := time.Since(qr.start)
 	eng.activity.Deregister(qr.aq)
 	eng.stmts.Observe(qr.aq.Fingerprint, qr.norm, dur, qr.aq.Rows(), err != nil)
-	eng.plans.NoteExec(qr.aq.Fingerprint, dur.Nanoseconds())
 	if qr.trace != nil {
 		eng.tracer.Store.Put(qr.trace)
 	}
@@ -298,7 +293,7 @@ func registerSystemViews(db *Database) {
 			{Name: "max_ms", Type: types.KindFloat},
 		},
 		Rows: func() []types.Row {
-			snap := eng.stmts.Snapshot()
+			snap := eng.stmts.Statements()
 			rows := make([]types.Row, 0, len(snap))
 			for i := range snap {
 				st := &snap[i]
@@ -366,7 +361,7 @@ func registerSystemViews(db *Database) {
 			{Name: "last_seen_ms", Type: types.KindFloat},
 		},
 		Rows: func() []types.Row {
-			snap := eng.ests.Snapshot()
+			snap := eng.stmts.Estimates()
 			rows := make([]types.Row, 0, len(snap))
 			for i := range snap {
 				r := &snap[i]
@@ -401,7 +396,7 @@ func registerSystemViews(db *Database) {
 			{Name: "after_mean_ms", Type: types.KindFloat},
 		},
 		Rows: func() []types.Row {
-			flips := eng.plans.Flips()
+			flips := eng.stmts.Flips()
 			rows := make([]types.Row, 0, len(flips))
 			for i := range flips {
 				f := &flips[i]

@@ -105,6 +105,23 @@ func TestStatStatementsAggregates(t *testing.T) {
 	}
 }
 
+// TestStatStatementsSkipsAnalyzeOnly: EXPLAIN ANALYZE keys its plan and
+// estimate profile on the bare statement's fingerprint, which shares the
+// one per-fingerprint store with statement statistics. A bare statement
+// that never ran on its own must not surface as a zero-call row.
+func TestStatStatementsSkipsAnalyzeOnly(t *testing.T) {
+	db := introspectDB(t, perm.Options{})
+	db.MustQuery(`EXPLAIN ANALYZE SELECT name FROM shop WHERE numempl > 5`)
+	res := db.MustQuery(`SELECT query FROM perm_stat_estimates`)
+	if len(res.Rows) != 1 || res.Rows[0][0].String() != "select name from shop where numempl > ?" {
+		t.Fatalf("estimates not keyed on the bare statement: %v", res.Rows)
+	}
+	res = db.MustQuery(`SELECT query, calls FROM perm_stat_statements WHERE calls = 0 OR query = 'select name from shop where numempl > ?'`)
+	if len(res.Rows) != 0 {
+		t.Fatalf("analyze-only fingerprint listed as a statement: %v", res.Rows)
+	}
+}
+
 func TestPermTracesSampledSpans(t *testing.T) {
 	db := introspectDB(t, perm.Options{TraceSample: 1})
 	db.MustQuery(`SELECT s.name, count(*) FROM shop s, sales sa WHERE s.name = sa.sname GROUP BY s.name`)

@@ -103,7 +103,7 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 		}
 	}
 	if qr != nil {
-		db.eng.ests.Observe(fp, norm, plan.OperatorEstimates(node))
+		db.eng.stmts.ObserveEstimates(fp, norm, plan.OperatorEstimates(node))
 	}
 	post := db.budget.Stats()
 	res.Rows = make([][]Value, len(rows))
@@ -124,8 +124,8 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 // the same records perm_stat_estimates serves, for tooling that wants
 // them without a SQL round-trip. Records accumulate from EXPLAIN
 // ANALYZE executions only; plain queries are never instrumented.
-func (db *Database) TopMisestimates(n int) []obs.EstRecord {
-	snap := db.eng.ests.Snapshot()
+func (db *Database) TopMisestimates(n int) []obs.StmtRecord {
+	snap := db.eng.stmts.Estimates()
 	if n > 0 && len(snap) > n {
 		snap = snap[:n]
 	}
@@ -133,7 +133,7 @@ func (db *Database) TopMisestimates(n int) []obs.EstRecord {
 }
 
 // notePlanHash feeds one freshly compiled statement's physical plan hash
-// into the plan-flip store. Only executions following a cache miss are
+// into its statement record's plan state. Only executions following a cache miss are
 // hashed (qr.fresh): a cache hit replays an artifact whose plan the
 // store already saw, so the hot path never renders a plan. A flip —
 // the same fingerprint compiling to a structurally different plan —
@@ -154,7 +154,7 @@ func (db *Database) notePlanHashAs(qr *queryRun, fp, norm string, node exec.Node
 	}
 	qr.fresh = false
 	h := plan.Hash(node)
-	old, flipped := db.eng.plans.ObservePlan(fp, norm, h, int64(db.cat.Version()), db.optsKey)
+	old, flipped := db.eng.stmts.ObservePlan(fp, norm, h, int64(db.cat.Version()), db.optsKey)
 	if flipped {
 		obs.PlanFlips.Inc()
 		obs.Events.Record(obs.EventPlanFlip, qr.aq.ID, fp,
@@ -265,11 +265,9 @@ func (db *Database) buildMetrics() *obs.Registry {
 		func() float64 { return float64(db.eng.tracer.Store.Len()) })
 
 	r.CounterVar("perm_plan_flips_total", "Fingerprints recompiled to a structurally different physical plan.", "", &obs.PlanFlips)
-	r.CounterVar("perm_stmt_evictions_total", "Fingerprints evicted from the per-statement statistics store.", "", &obs.StmtEvictions)
-	r.ReadFunc("perm_plan_fingerprints", "Fingerprints tracked by the plan-flip store.", obs.TypeGauge, "",
-		func() float64 { return float64(db.eng.plans.Len()) })
-	r.ReadFunc("perm_estimate_fingerprints", "Fingerprints tracked by the misestimation store.", obs.TypeGauge, "",
-		func() float64 { return float64(db.eng.ests.Len()) })
+	r.CounterVar("perm_stmt_evictions_total", "Fingerprints evicted from the per-statement store.", "", &obs.StmtEvictions)
+	r.ReadFunc("perm_stmt_fingerprints", "Fingerprints tracked by the per-statement store.", obs.TypeGauge, "",
+		func() float64 { return float64(db.eng.stmts.Len()) })
 	r.ReadFunc("perm_events_recorded_total", "Events appended to the engine event log.", obs.TypeCounter, "",
 		func() float64 { return float64(obs.Events.LastSeq()) })
 	r.RawCollector(db.eng.stmts.WritePrometheus)
