@@ -504,12 +504,14 @@ func MatchLike(s, pattern string) bool {
 	starP, starS := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
+		// The wildcard arm comes first: a pattern % is never a literal,
+		// even where the input has a % at the same position.
 		case pi < len(pattern) && pattern[pi] == '%':
 			starP = pi
 			starS = si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			si++
 			pi++
 		case starP >= 0:
 			starS++

@@ -194,6 +194,13 @@ func TestMatchLike(t *testing.T) {
 		{"PROMO BRUSHED TIN", "PROMO%", true},
 		{"x", "_", true},
 		{"xy", "_", false},
+		// A pattern % stays a wildcard where the input has a % too.
+		{"%5", "%", true},
+		{"a%", "a%", true},
+		{"%", "%%", true},
+		{"_x", "_x", true},
+		{"%x5", "%5", true},
+		{"5%", "%%5", false},
 	}
 	for _, tc := range cases {
 		if got := MatchLike(tc.s, tc.p); got != tc.want {

@@ -5,6 +5,10 @@
 //
 //	uint32 big-endian body length | body (JSON)
 //
+// The bodies are the JSON encoding/json gives the Request and Response
+// structs, byte for byte, but the package encodes and decodes them with
+// its own codec (encode.go, decode.go) rather than by reflection.
+//
 // The client sends a Request and reads exactly one Response; requests on
 // one connection are processed in order (pipelining is permitted, the
 // server answers in receive order). Result values travel as the engine's
@@ -14,7 +18,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -97,27 +100,28 @@ type Response struct {
 	Plan     string          `json:"plan,omitempty"`
 }
 
-// Encode marshals v into one complete length-prefixed frame. It fails
-// without producing bytes when v cannot be marshaled (e.g. ±Inf/NaN
-// floats under encoding/json) or exceeds MaxFrame, so a caller can
-// substitute an error frame instead of abandoning the connection.
-func Encode(v any) ([]byte, error) {
-	body, err := json.Marshal(v)
+// Encode encodes m into one complete length-prefixed frame. The body
+// goes straight into a buffer sized once from m, behind a header patched
+// in afterwards. Encode fails without producing bytes when m cannot be
+// encoded (±Inf/NaN floats have no JSON form) or exceeds MaxFrame, so a
+// caller can substitute an error frame instead of abandoning the
+// connection.
+func Encode(m Message) ([]byte, error) {
+	frame, err := m.appendJSON(make([]byte, 4, 4+m.encodedLen()))
 	if err != nil {
 		return nil, err
 	}
-	if len(body) > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
+	n := len(frame) - 4
+	if n > MaxFrame {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-	copy(frame[4:], body)
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
 	return frame, nil
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, v any) error {
-	frame, err := Encode(v)
+// WriteFrame encodes m and writes it as one length-prefixed frame.
+func WriteFrame(w io.Writer, m Message) error {
+	frame, err := Encode(m)
 	if err != nil {
 		return err
 	}
@@ -148,11 +152,11 @@ func ReadRequest(r io.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeRequest(body)
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad request: %v", err)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // ReadResponse reads and decodes one Response frame.
@@ -161,11 +165,11 @@ func ReadResponse(r io.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resp Response
-	if err := json.Unmarshal(body, &resp); err != nil {
+	resp, err := decodeResponse(body)
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad response: %v", err)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // ErrorResponse builds the failure Response for err, carrying the

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"reflect"
 	"strings"
@@ -90,6 +91,37 @@ func TestGoldenFrame(t *testing.T) {
 	}
 }
 
+// TestGoldenResponseFrame pins the on-wire bytes of a Response carrying
+// every value kind, escaped strings and an e-notation float. The codec
+// and encoding/json must both produce them.
+func TestGoldenResponseFrame(t *testing.T) {
+	golden := "\x00\x00\x02\x9d" + `{"ok":true,"columns":["null","b","n","f","e","s","d","iv","tn"],` +
+		`"prov":[false,false,false,false,false,false,false,true,true],"rows":[[` +
+		`{"K":0,"Null":true,"I":0,"F":0,"S":"","B":false},` +
+		`{"K":1,"Null":false,"I":0,"F":0,"S":"","B":true},` +
+		`{"K":2,"Null":false,"I":-42,"F":0,"S":"","B":false},` +
+		`{"K":3,"Null":false,"I":0,"F":2.5,"S":"","B":false},` +
+		`{"K":3,"Null":false,"I":0,"F":1.5e-7,"S":"","B":false},` +
+		`{"K":4,"Null":false,"I":0,"F":0,"S":"\u003cTom \u0026 \"Jerry\"\u003e\t\\ \u2028 \ufffd","B":false},` +
+		`{"K":5,"Null":false,"I":19000,"F":0,"S":"","B":false},` +
+		`{"K":6,"Null":false,"I":60129542147,"F":0,"S":"","B":false},` +
+		`{"K":4,"Null":true,"I":0,"F":0,"S":"","B":false}]],"affected":1}`
+	frame, err := Encode(goldenResponse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(frame) != golden {
+		t.Fatalf("Encode frame = %q\nwant          %q", frame, golden)
+	}
+	body, err := json.Marshal(goldenResponse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := golden[:4] + string(body); got != golden {
+		t.Fatalf("json.Marshal frame = %q\nwant               %q", got, golden)
+	}
+}
+
 func TestOversizedFrameRejected(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
@@ -122,5 +154,27 @@ func TestBadJSONRejected(t *testing.T) {
 	buf.Write(body)
 	if _, err := ReadRequest(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("bad JSON must fail")
+	}
+}
+
+// goldenResponse has one value of every kind (and a typed NULL), strings
+// that need escaping, and floats on both sides of the e-notation switch.
+func goldenResponse() *Response {
+	return &Response{
+		OK:      true,
+		Columns: []string{"null", "b", "n", "f", "e", "s", "d", "iv", "tn"},
+		Prov:    []bool{false, false, false, false, false, false, false, true, true},
+		Rows: [][]types.Value{{
+			types.NullValue,
+			types.NewBool(true),
+			types.NewInt(-42),
+			types.NewFloat(2.5),
+			types.NewFloat(1.5e-7),
+			types.NewString("<Tom & \"Jerry\">\t\\ \xe2\x80\xa8 \xff"),
+			types.NewDate(19000),
+			types.NewInterval(14, 3),
+			types.NewNull(types.KindString),
+		}},
+		Affected: 1,
 	}
 }

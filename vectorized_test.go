@@ -1,6 +1,7 @@
 package perm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -284,6 +285,32 @@ func TestFig10ColumnarEndToEnd(t *testing.T) {
 	}
 	if !sawRuntimeFilter {
 		t.Error("no provenance plan published a runtime filter")
+	}
+}
+
+// TestVectorizedLikePercentInput: LIKE through the vectorized engine's
+// compileLike keeps a pattern % a wildcard where the input has a % at
+// the same position (regression: the literal arm matched first).
+func TestVectorizedLikePercentInput(t *testing.T) {
+	on, off := vecPair(t, `
+		CREATE TABLE lk (s text, p text);
+		INSERT INTO lk VALUES ('%5', '%'), ('a%', 'a%'), ('%', '%%'), ('_x', '_x'), ('5%', '%%5');
+	`)
+	q := `SELECT s FROM lk WHERE s LIKE p`
+	plan, err := on.ExplainSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "VecFilter") {
+		t.Fatalf("LIKE filter is not vectorized:\n%s", plan)
+	}
+	assertSameResult(t, on, off, q)
+	var got []string
+	for _, row := range on.MustQuery(q).Rows {
+		got = append(got, row[0].String())
+	}
+	if want := "[%5 a% % _x]"; fmt.Sprint(got) != want {
+		t.Fatalf("rows = %v, want %s", got, want)
 	}
 }
 
