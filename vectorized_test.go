@@ -6,19 +6,22 @@ import (
 	"testing"
 
 	"perm"
-	"perm/internal/synth"
 	"perm/internal/tpch"
 )
 
-// vecPair builds two databases over the same DDL/DML script, one with
-// the vectorized engine enabled (the default) and one without.
-func vecPair(t testing.TB, script string) (on, off *perm.Database) {
+// refOptions is the reference configuration the transparency suites
+// compare the default one with: optimizer off, serial, unbudgeted.
+var refOptions = perm.Options{DisableOptimizer: true, Parallelism: 1, MemoryLimit: -1}
+
+// refPair builds two databases over the same DDL/DML script, one with
+// the default configuration and one with refOptions.
+func refPair(t testing.TB, script string) (def, ref *perm.Database) {
 	t.Helper()
-	on = perm.NewDatabase()
-	off = perm.NewDatabaseWithOptions(perm.Options{DisableVectorized: true})
-	on.MustExec(script)
-	off.MustExec(script)
-	return on, off
+	def = perm.NewDatabase()
+	ref = perm.NewDatabaseWithOptions(refOptions)
+	def.MustExec(script)
+	ref.MustExec(script)
+	return def, ref
 }
 
 // vecFixture extends the optimizer-transparency fixture with the
@@ -159,16 +162,18 @@ var logicCorpus = []string{
 }
 
 // TestVectorizedTransparency runs the optimizer-transparency corpus and
-// the SQL-logic/rewrite-rule corpus with the vectorized engine on vs off
-// and requires identical results — vectorization must be invisible
-// except for speed.
+// the SQL-logic/rewrite-rule corpus on the default configuration and on
+// the optimizer-off, serial, unbudgeted one, and requires both to match
+// the result digests the row-at-a-time engine recorded in
+// testdata/row_engine_results.tsv.
 func TestVectorizedTransparency(t *testing.T) {
-	on, off := vecPair(t, vecFixture)
-	corpus := append(append([]string{}, transparencyCorpus...), logicCorpus...)
-	for _, q := range corpus {
-		q := q
-		t.Run(q[:minInt(40, len(q))], func(t *testing.T) {
-			assertSameResult(t, on, off, q)
+	oracle := loadOracle(t)
+	def, ref := refPair(t, vecFixture)
+	for _, st := range logicOracleStatements() {
+		st := st
+		t.Run(st.text[:minInt(40, len(st.text))], func(t *testing.T) {
+			checkOracle(t, oracle, def, st)
+			checkOracle(t, oracle, ref, st)
 		})
 	}
 }
@@ -178,69 +183,41 @@ func TestVectorizedTransparency(t *testing.T) {
 // vectorized join's never-match shortcut may only apply to
 // non-null-safe keys).
 func TestVectorizedNullSafeIncomparableJoin(t *testing.T) {
-	on, off := vecPair(t, `
+	def, ref := refPair(t, `
 		CREATE TABLE ti (i int);
 		INSERT INTO ti VALUES (1), (NULL);
 		CREATE TABLE ts (s text);
 		INSERT INTO ts VALUES ('x'), (NULL);
 	`)
 	q := `SELECT count(*) FROM ti JOIN ts ON ti.i IS NOT DISTINCT FROM ts.s`
-	assertSameResult(t, on, off, q)
-	if got := on.MustQuery(q).Rows[0][0].Int(); got != 1 {
+	assertSameResult(t, def, ref, q)
+	if got := def.MustQuery(q).Rows[0][0].Int(); got != 1 {
 		t.Fatalf("NULL IS NOT DISTINCT FROM NULL must match once, got %d", got)
 	}
 }
 
 // TestVectorizedTransparencyTPCH runs the generated workloads (random
 // SPJ trees, set-operation trees, aggregation chains) and the supported
-// TPC-H queries — normal and with provenance — against vectorized-on and
-// -off databases (the §V-B generators, mirroring the optimizer's
-// property test).
+// TPC-H queries — normal and with provenance — on the default
+// configuration and on the optimizer-off, serial, unbudgeted one, and
+// requires both to match the row-engine digests (the §V-B generators,
+// mirroring the optimizer's property test).
 func TestVectorizedTransparencyTPCH(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H property test skipped with -short")
 	}
-	const sf = 0.001
-	on := perm.NewDatabase()
-	off := perm.NewDatabaseWithOptions(perm.Options{DisableVectorized: true})
-	tpch.MustLoad(on, sf, 42)
-	tpch.MustLoad(off, sf, 42)
-	maxKey, err := on.TableRowCount("part")
+	oracle := loadOracle(t)
+	def := perm.NewDatabase()
+	ref := perm.NewDatabaseWithOptions(refOptions)
+	tpch.MustLoad(def, oracleSF, oracleDataSeed)
+	tpch.MustLoad(ref, oracleSF, oracleDataSeed)
+	maxKey, err := def.TableRowCount("part")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var queries []string
-	for seed := uint64(1); seed <= 4; seed++ {
-		rng := tpch.NewRand(seed)
-		queries = append(queries, synth.SPJQuery(rng, int(seed)+1, maxKey))
-		queries = append(queries, synth.SetOpQuery(rng, int(seed)+1, maxKey))
-		queries = append(queries, synth.AggChainQuery(int(seed), maxKey))
-	}
-	for _, q := range queries {
-		assertSameResult(t, on, off, q)
-		assertSameResult(t, on, off, injectProv(q))
-	}
-
-	rng := tpch.NewRand(7)
-	for _, n := range tpch.SupportedQueries() {
-		q := tpch.MustQGen(n, rng)
-		for _, db := range []*perm.Database{on, off} {
-			for _, s := range q.Setup {
-				if _, err := db.Exec(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		assertSameResult(t, on, off, q.Text)
-		assertSameResult(t, on, off, q.Provenance().Text)
-		for _, db := range []*perm.Database{on, off} {
-			for _, s := range q.Teardown {
-				if _, err := db.Exec(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+	for _, st := range tpchOracleStatements(maxKey) {
+		checkOracle(t, oracle, def, st)
+		checkOracle(t, oracle, ref, st)
 	}
 }
 
@@ -292,7 +269,7 @@ func TestFig10ColumnarEndToEnd(t *testing.T) {
 // compileLike keeps a pattern % a wildcard where the input has a % at
 // the same position (regression: the literal arm matched first).
 func TestVectorizedLikePercentInput(t *testing.T) {
-	on, off := vecPair(t, `
+	on, off := refPair(t, `
 		CREATE TABLE lk (s text, p text);
 		INSERT INTO lk VALUES ('%5', '%'), ('a%', 'a%'), ('%', '%%'), ('_x', '_x'), ('5%', '%%5');
 	`)
