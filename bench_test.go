@@ -337,61 +337,52 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVectorized compares execution with the vectorized
-// engine on (default) vs off across the benchmark series the columnar
-// operators target: TPC-H provenance queries (Fig. 10), the synthetic
-// SPJ series (Fig. 13) and the nested-aggregation chains (Fig. 14).
-func BenchmarkAblationVectorized(b *testing.B) {
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"vec-on", false}, {"vec-off", true}} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			db := perm.NewDatabaseWithOptions(perm.Options{DisableVectorized: variant.disable})
-			tpch.MustLoad(db, benchSF, 42)
-			maxKey, err := db.TableRowCount("part")
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkVectorizedEngine times the batch engine across the benchmark
+// series its columnar operators target: TPC-H provenance queries (Fig.
+// 10), the synthetic SPJ series (Fig. 13) and the nested-aggregation
+// chains (Fig. 14), then runs the allocation-budget guards of the
+// batch-buffer pool and the parallel exchange.
+func BenchmarkVectorizedEngine(b *testing.B) {
+	db := perm.NewDatabaseWithOptions(perm.Options{})
+	tpch.MustLoad(db, benchSF, 42)
+	maxKey, err := db.TableRowCount("part")
+	if err != nil {
+		b.Fatal(err)
+	}
+	partCount := maxKey
+	rng := tpch.NewRand(7)
+	for _, n := range []int{1, 3, 5, 10, 15} {
+		q := tpch.MustQGen(n, rng)
+		b.Run(fmt.Sprintf("Q%d/norm", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runBenchQuery(b, db, q)
 			}
-			partCount := maxKey
-			rng := tpch.NewRand(7)
-			for _, n := range []int{1, 3, 5, 10, 15} {
-				q := tpch.MustQGen(n, rng)
-				b.Run(fmt.Sprintf("Q%d/norm", n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						runBenchQuery(b, db, q)
-					}
-				})
-				b.Run(fmt.Sprintf("Q%d/prov", n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						runBenchQuery(b, db, q.Provenance())
-					}
-				})
-			}
-			for _, numSub := range []int{2, 4, 6} {
-				spjRng := tpch.NewRand(uint64(numSub))
-				q := injectProv(synth.SPJQuery(spjRng, numSub, maxKey))
-				b.Run(fmt.Sprintf("spj%d/prov", numSub), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						runBenchQuery(b, db, tpch.Query{Text: q})
-					}
-				})
-			}
-			for _, agg := range []int{3, 6, 10} {
-				q := injectProv(synth.AggChainQuery(agg, partCount))
-				b.Run(fmt.Sprintf("aggchain%d/prov", agg), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						runBenchQuery(b, db, tpch.Query{Text: q})
-					}
-				})
-			}
-			if !variant.disable {
-				b.Run("alloc-budget/scan-filter-project", benchVecAllocBudget)
-				b.Run("alloc-budget/parallel-exchange", benchParallelAllocBudget)
+		})
+		b.Run(fmt.Sprintf("Q%d/prov", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runBenchQuery(b, db, q.Provenance())
 			}
 		})
 	}
+	for _, numSub := range []int{2, 4, 6} {
+		spjRng := tpch.NewRand(uint64(numSub))
+		q := injectProv(synth.SPJQuery(spjRng, numSub, maxKey))
+		b.Run(fmt.Sprintf("spj%d/prov", numSub), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runBenchQuery(b, db, tpch.Query{Text: q})
+			}
+		})
+	}
+	for _, agg := range []int{3, 6, 10} {
+		q := injectProv(synth.AggChainQuery(agg, partCount))
+		b.Run(fmt.Sprintf("aggchain%d/prov", agg), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runBenchQuery(b, db, tpch.Query{Text: q})
+			}
+		})
+	}
+	b.Run("alloc-budget/scan-filter-project", benchVecAllocBudget)
+	b.Run("alloc-budget/parallel-exchange", benchParallelAllocBudget)
 }
 
 // benchBinder binds Vars positionally for the vexec alloc-budget bench.

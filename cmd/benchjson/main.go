@@ -1,6 +1,5 @@
 // Command benchjson runs the Fig. 10/13/14 benchmark queries under
-// paired engine configurations — vectorized execution on/off, the
-// logical optimizer on/off, the memory governor spilling (tiny budget)
+// paired engine configurations — the logical optimizer on/off, the memory governor spilling (tiny budget)
 // vs fully in-memory, and morsel-driven parallel execution vs the
 // serial plan — and writes best-of-N wall times to a JSON file. The
 // output is the machine-readable perf trajectory checked in per PR
@@ -40,11 +39,9 @@ type Entry struct {
 	Name       string  `json:"name"`
 	Rows       int     `json:"rows"`
 	BaseNS     int64   `json:"base_ns"`     // all optimizations on, serial plan (workers=1)
-	VecOffNS   int64   `json:"vec_off_ns"`  // vectorized execution disabled
 	OptOffNS   int64   `json:"opt_off_ns"`  // logical optimizer disabled
 	SpillNS    int64   `json:"spill_ns"`    // tiny memory budget (forced spilling)
 	ParNS      int64   `json:"par_ns"`      // parallel plan at -parallelism workers
-	VecSpeedup float64 `json:"vec_speedup"` // vec_off / base
 	OptSpeedup float64 `json:"opt_speedup"` // opt_off / base
 	SpillCost  float64 `json:"spill_cost"`  // spill / base (spill-to-disk overhead)
 	ParSpeedup float64 `json:"par_speedup"` // base / par (parallel speedup vs workers=1)
@@ -195,7 +192,6 @@ func main() {
 	// core count or $PERM_PARALLELISM; only the parallel config fans out.
 	configs := []config{
 		{"base", perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: -1, Parallelism: 1})},
-		{"vec-off", perm.NewDatabaseWithOptions(perm.Options{DisableVectorized: true, MemoryLimit: -1, Parallelism: 1})},
 		{"opt-off", perm.NewDatabaseWithOptions(perm.Options{DisableOptimizer: true, MemoryLimit: -1, Parallelism: 1})},
 		{"spill", perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: spillLimit, Parallelism: 1})},
 		{"parallel", perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: -1, Parallelism: *paraN})},
@@ -239,21 +235,19 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("%s: %v", j.name, err))
 		}
-		ns := [5]int64{best[0].Nanoseconds(), best[1].Nanoseconds(), best[2].Nanoseconds(),
-			best[3].Nanoseconds(), best[4].Nanoseconds()}
+		ns := [4]int64{best[0].Nanoseconds(), best[1].Nanoseconds(), best[2].Nanoseconds(),
+			best[3].Nanoseconds()}
 		e := Entry{
 			Name: j.name, Rows: rows,
-			BaseNS: ns[0], VecOffNS: ns[1], OptOffNS: ns[2], SpillNS: ns[3], ParNS: ns[4],
-			VecSpeedup: round2(float64(ns[1]) / float64(ns[0])),
-			OptSpeedup: round2(float64(ns[2]) / float64(ns[0])),
-			SpillCost:  round2(float64(ns[3]) / float64(ns[0])),
-			ParSpeedup: round2(float64(ns[0]) / float64(ns[4])),
+			BaseNS: ns[0], OptOffNS: ns[1], SpillNS: ns[2], ParNS: ns[3],
+			OptSpeedup: round2(float64(ns[1]) / float64(ns[0])),
+			SpillCost:  round2(float64(ns[2]) / float64(ns[0])),
+			ParSpeedup: round2(float64(ns[0]) / float64(ns[3])),
 		}
 		rep.Queries = append(rep.Queries, e)
-		fmt.Printf("%-16s base=%-12v vec-off=%-12v (%.2fx)  opt-off=%-12v (%.2fx)  spill=%-12v (%.2fx)  par=%-12v (%.2fx)\n",
-			j.name, time.Duration(ns[0]), time.Duration(ns[1]), e.VecSpeedup,
-			time.Duration(ns[2]), e.OptSpeedup, time.Duration(ns[3]), e.SpillCost,
-			time.Duration(ns[4]), e.ParSpeedup)
+		fmt.Printf("%-16s base=%-12v opt-off=%-12v (%.2fx)  spill=%-12v (%.2fx)  par=%-12v (%.2fx)\n",
+			j.name, time.Duration(ns[0]), time.Duration(ns[1]), e.OptSpeedup,
+			time.Duration(ns[2]), e.SpillCost, time.Duration(ns[3]), e.ParSpeedup)
 	}
 
 	rep.Metrics = snapshotMetrics(configs)

@@ -43,7 +43,6 @@ func main() {
 		loadSF   = flag.Float64("tpch", 0, "preload TPC-H data at this scale factor")
 		flatten  = flag.Bool("flatten-setops", false, "use the Fig. 6(3a) set-operation rewrite variant")
 		noOpt    = flag.Bool("no-optimizer", false, "disable the logical optimizer (flattening/pruning of rewritten queries)")
-		noVec    = flag.Bool("no-vectorized", false, "disable the vectorized execution engine (run everything row-at-a-time)")
 		noCache  = flag.Bool("no-query-cache", false, "disable the shared compiled-query cache")
 		memLimit = flag.String("memory-limit", "", "session memory budget, e.g. 64MiB (materializing operators spill to disk past it)")
 		spillDir = flag.String("spill-dir", "", "directory for spill files (default $PERM_SPILL_DIR or the system temp dir)")
@@ -72,7 +71,6 @@ func main() {
 		for opt, on := range map[string]bool{
 			"flatten_setops":      *flatten,
 			"disable_optimizer":   *noOpt,
-			"disable_vectorized":  *noVec,
 			"disable_query_cache": *noCache,
 		} {
 			if on {
@@ -134,7 +132,6 @@ func main() {
 		db = perm.NewDatabaseWithOptions(perm.Options{
 			FlattenSetOps:     *flatten,
 			DisableOptimizer:  *noOpt,
-			DisableVectorized: *noVec,
 			DisableQueryCache: *noCache,
 			MemoryLimit:       limit,
 			SpillDir:          *spillDir,

@@ -91,7 +91,6 @@ func main() {
 		initSQL  = flag.String("init", "", "run a SQL script before serving")
 		flatten  = flag.Bool("flatten-setops", false, "use the Fig. 6(3a) set-operation rewrite variant")
 		noOpt    = flag.Bool("no-optimizer", false, "disable the logical optimizer")
-		noVec    = flag.Bool("no-vectorized", false, "disable the vectorized execution engine")
 		noCache  = flag.Bool("no-query-cache", false, "disable the shared compiled-query cache")
 		cacheN   = flag.Int("query-cache-size", 0, "compiled-query cache capacity (0 = default 256)")
 		memLimit = flag.String("memory-limit", "", "per-session memory budget, e.g. 64MiB (sessions spill to disk past it; default $PERM_MEMORY_LIMIT or unlimited)")
@@ -128,7 +127,6 @@ func main() {
 	db := perm.NewDatabaseWithOptions(perm.Options{
 		FlattenSetOps:     *flatten,
 		DisableOptimizer:  *noOpt,
-		DisableVectorized: *noVec,
 		DisableQueryCache: *noCache,
 		QueryCacheSize:    *cacheN,
 		MemoryLimit:       sessionLimit,

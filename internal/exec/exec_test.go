@@ -1,388 +1,321 @@
-package exec
+package exec_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
-	"perm/internal/eval"
+	"perm"
+	"perm/internal/exec"
 	"perm/internal/types"
+	"perm/internal/vector"
+	"perm/internal/vexec"
 )
 
-func rows(vals ...[]int64) []types.Row {
-	out := make([]types.Row, len(vals))
-	for i, r := range vals {
-		row := make(types.Row, len(r))
-		for j, v := range r {
-			row[j] = types.NewInt(v)
+// These tests pin the SQL semantics of the physical operators — joins of
+// every type, aggregation, sorting, limits, duplicate elimination, set
+// operations and error propagation — end to end through the engine, over
+// plans whose root is the exec.Node every plan exposes.
+
+// newDB returns a database holding the given script's tables.
+func newDB(t *testing.T, script string) *perm.Database {
+	t.Helper()
+	db := perm.NewDatabase()
+	db.MustExec(script)
+	return db
+}
+
+// query runs a statement and renders each row as "v1,v2,..." with NULL
+// for NULLs, in result order.
+func query(t *testing.T, db *perm.Database, text string) []string {
+	t.Helper()
+	res, err := db.Query(text)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		parts := make([]string, len(row))
+		for j, v := range row {
+			if v.IsNull() {
+				parts[j] = "NULL"
+			} else {
+				parts[j] = v.String()
+			}
 		}
-		out[i] = row
+		out[i] = strings.Join(parts, ",")
 	}
 	return out
 }
 
-func colFn(pos int) eval.Func {
-	return func(ctx *eval.Ctx) (types.Value, error) { return ctx.Row[pos], nil }
-}
-
-func constBool(b bool) eval.Func {
-	return func(*eval.Ctx) (types.Value, error) { return types.NewBool(b), nil }
-}
-
-func collectInts(t *testing.T, n Node) [][]int64 {
+// wantRows compares results as multisets.
+func wantRows(t *testing.T, text string, got []string, want ...string) {
 	t.Helper()
-	out, err := Collect(n)
+	g := append([]string(nil), got...)
+	w := append([]string(nil), want...)
+	sort.Strings(g)
+	sort.Strings(w)
+	if fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("%s:\ngot  %v\nwant %v", text, got, want)
+	}
+}
+
+// wantOrdered compares results in order.
+func wantOrdered(t *testing.T, text string, got []string, want ...string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s:\ngot  %v\nwant %v", text, got, want)
+	}
+}
+
+// wantPlan requires the EXPLAIN output to mention an operator label.
+func wantPlan(t *testing.T, db *perm.Database, text, label string) {
+	t.Helper()
+	plan, err := db.ExplainSQL(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := make([][]int64, len(out))
-	for i, r := range out {
-		ints := make([]int64, len(r))
-		for j, v := range r {
-			if v.Null {
-				ints[j] = -999
-			} else {
-				ints[j] = v.I
-			}
-		}
-		res[i] = ints
-	}
-	return res
-}
-
-func wantRows(t *testing.T, got [][]int64, want [][]int64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("got %d rows %v, want %d %v", len(got), got, len(want), want)
-	}
-	used := make([]bool, len(want))
-outer:
-	for _, g := range got {
-		for i, w := range want {
-			if used[i] || len(g) != len(w) {
-				continue
-			}
-			same := true
-			for j := range g {
-				if g[j] != w[j] {
-					same = false
-					break
-				}
-			}
-			if same {
-				used[i] = true
-				continue outer
-			}
-		}
-		t.Fatalf("unexpected row %v\ngot: %v\nwant: %v", g, got, want)
+	if !strings.Contains(plan, label) {
+		t.Fatalf("plan of %s lacks %q:\n%s", text, label, plan)
 	}
 }
 
 func TestScanAndFilter(t *testing.T) {
-	scan := NewScan(rows([]int64{1}, []int64{2}, []int64{3}))
-	pred := func(ctx *eval.Ctx) (types.Value, error) {
-		return types.NewBool(ctx.Row[0].I >= 2), nil
-	}
-	got := collectInts(t, NewFilter(scan, pred))
-	wantRows(t, got, [][]int64{{2}, {3}})
+	db := newDB(t, `CREATE TABLE t (x int); INSERT INTO t VALUES (1), (2), (3);`)
+	q := `SELECT x FROM t WHERE x >= 2`
+	wantRows(t, q, query(t, db, q), "2", "3")
 }
 
+// TestScanReopen: a plan reopened after a full drain yields its rows
+// again.
 func TestScanReopen(t *testing.T) {
-	scan := NewScan(rows([]int64{1}))
+	col := vector.NewVec(types.KindInt, 1)
+	col.Set(0, types.NewInt(1))
+	root := vexec.NewRowSource(vexec.NewColScan([]*vector.Vec{col}, 1))
 	for i := 0; i < 2; i++ {
-		got, err := Collect(scan)
-		if err != nil || len(got) != 1 {
+		got, err := exec.Collect(root)
+		if err != nil || len(got) != 1 || got[0][0].I != 1 {
 			t.Fatalf("pass %d: %v %v", i, got, err)
 		}
 	}
 }
 
 func TestProject(t *testing.T) {
-	scan := NewScan(rows([]int64{1, 10}))
-	double := func(ctx *eval.Ctx) (types.Value, error) {
-		return types.NewInt(ctx.Row[1].I * 2), nil
-	}
-	got := collectInts(t, NewProject(scan, []eval.Func{double, colFn(0)}))
-	wantRows(t, got, [][]int64{{20, 1}})
+	db := newDB(t, `CREATE TABLE t (x int, y int); INSERT INTO t VALUES (1, 10);`)
+	q := `SELECT y * 2, x FROM t`
+	wantRows(t, q, query(t, db, q), "20,1")
 }
 
-func TestNestedLoopJoinTypes(t *testing.T) {
-	left := rows([]int64{1}, []int64{2}, []int64{3})
-	right := rows([]int64{2, 20}, []int64{2, 21}, []int64{4, 40})
-	cond := func(ctx *eval.Ctx) (types.Value, error) {
-		if ctx.Row[0].Null || ctx.Row[1].Null {
-			return types.NewNull(types.KindBool), nil
-		}
-		return types.NewBool(ctx.Row[0].I == ctx.Row[1].I), nil
-	}
-	intKinds := func(n int) []types.Kind {
-		ks := make([]types.Kind, n)
-		for i := range ks {
-			ks[i] = types.KindInt
-		}
-		return ks
-	}
+const joinTables = `
+	CREATE TABLE l (x int);
+	INSERT INTO l VALUES (1), (2), (3);
+	CREATE TABLE r (a int, b int);
+	INSERT INTO r VALUES (2, 20), (2, 21), (4, 40);
+`
 
-	t.Run("inner", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, InnerJoin, intKinds(1), intKinds(2))
-		wantRows(t, collectInts(t, j), [][]int64{{2, 2, 20}, {2, 2, 21}})
-	})
-	t.Run("left", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, LeftJoin, intKinds(1), intKinds(2))
-		wantRows(t, collectInts(t, j), [][]int64{
-			{1, -999, -999}, {2, 2, 20}, {2, 2, 21}, {3, -999, -999}})
-	})
-	t.Run("right", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, RightJoin, intKinds(1), intKinds(2))
-		wantRows(t, collectInts(t, j), [][]int64{
-			{2, 2, 20}, {2, 2, 21}, {-999, 4, 40}})
-	})
-	t.Run("full", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, FullJoin, intKinds(1), intKinds(2))
-		wantRows(t, collectInts(t, j), [][]int64{
-			{1, -999, -999}, {2, 2, 20}, {2, 2, 21}, {3, -999, -999}, {-999, 4, 40}})
-	})
+// TestNestedLoopJoinTypes: a join condition without equi-keys runs as a
+// nested-loop join, whose condition decides matches for every join
+// type.
+func TestNestedLoopJoinTypes(t *testing.T) {
+	db := newDB(t, joinTables)
+	cond := `l.x <= r.a AND l.x >= r.a`
+	for _, c := range []struct {
+		name, join string
+		want       []string
+	}{
+		{"inner", "JOIN", []string{"2,2,20", "2,2,21"}},
+		{"left", "LEFT JOIN", []string{"1,NULL,NULL", "2,2,20", "2,2,21", "3,NULL,NULL"}},
+		{"right", "RIGHT JOIN", []string{"2,2,20", "2,2,21", "NULL,4,40"}},
+		{"full", "FULL JOIN", []string{"1,NULL,NULL", "2,2,20", "2,2,21", "3,NULL,NULL", "NULL,4,40"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := fmt.Sprintf(`SELECT x, a, b FROM l %s r ON %s`, c.join, cond)
+			wantPlan(t, db, q, "VecNestedLoopJoin")
+			wantRows(t, q, query(t, db, q), c.want...)
+		})
+	}
 	t.Run("cross", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), nil, InnerJoin, intKinds(1), intKinds(2))
-		if got := collectInts(t, j); len(got) != 9 {
+		q := `SELECT x, a, b FROM l CROSS JOIN r`
+		if got := query(t, db, q); len(got) != 9 {
 			t.Fatalf("cross join rows = %d, want 9", len(got))
 		}
 	})
 }
 
+// TestHashJoinMatchesNestedLoop: for every join type the hash join on an
+// equi-key returns what the nested-loop join over the equivalent range
+// condition returns.
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
-	left := rows([]int64{1}, []int64{2}, []int64{2}, []int64{5})
-	right := rows([]int64{2, 20}, []int64{5, 50}, []int64{7, 70})
-	intKinds := []types.Kind{types.KindInt}
-	rightKinds := []types.Kind{types.KindInt, types.KindInt}
-	for _, jt := range []JoinType{InnerJoin, LeftJoin, RightJoin, FullJoin} {
-		jt := jt
-		t.Run(fmt.Sprintf("type%d", jt), func(t *testing.T) {
-			hj := NewHashJoin(NewScan(left), NewScan(right),
-				[]eval.Func{colFn(0)}, []eval.Func{colFn(0)}, []bool{false},
-				nil, jt, intKinds, rightKinds)
-			cond := func(ctx *eval.Ctx) (types.Value, error) {
-				if ctx.Row[0].Null || ctx.Row[1].Null {
-					return types.NewNull(types.KindBool), nil
-				}
-				return types.NewBool(ctx.Row[0].I == ctx.Row[1].I), nil
-			}
-			nl := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, jt, intKinds, rightKinds)
-			wantRows(t, collectInts(t, hj), collectInts(t, nl))
+	db := newDB(t, `
+		CREATE TABLE l (x int);
+		INSERT INTO l VALUES (1), (2), (2), (5), (NULL);
+		CREATE TABLE r (a int, b int);
+		INSERT INTO r VALUES (2, 20), (5, 50), (7, 70), (NULL, 0);
+	`)
+	for i, join := range []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"} {
+		t.Run(fmt.Sprintf("type%d", i), func(t *testing.T) {
+			hash := fmt.Sprintf(`SELECT x, a, b FROM l %s r ON l.x = r.a`, join)
+			loop := fmt.Sprintf(`SELECT x, a, b FROM l %s r ON l.x <= r.a AND l.x >= r.a`, join)
+			wantPlan(t, db, hash, "VecHashJoin")
+			wantPlan(t, db, loop, "VecNestedLoopJoin")
+			wantRows(t, hash, query(t, db, hash), query(t, db, loop)...)
 		})
 	}
 }
 
+// TestHashJoinNullSafety: NULL keys never match under =, and match each
+// other under IS NOT DISTINCT FROM (the rewriter's join-back).
 func TestHashJoinNullSafety(t *testing.T) {
-	null := types.Row{types.NewNull(types.KindInt)}
-	left := []types.Row{null, {types.NewInt(1)}}
-	right := []types.Row{null.Clone(), {types.NewInt(1)}}
-	intKinds := []types.Kind{types.KindInt}
-
-	// Plain equality: NULL keys never match.
-	hj := NewHashJoin(NewScan(left), NewScan(right),
-		[]eval.Func{colFn(0)}, []eval.Func{colFn(0)}, []bool{false},
-		nil, InnerJoin, intKinds, intKinds)
-	got, err := Collect(hj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("plain equality matched %d rows, want 1", len(got))
-	}
-
-	// Null-safe: NULL keys match each other (the rewriter's join-back).
-	hj = NewHashJoin(NewScan(left), NewScan(right),
-		[]eval.Func{colFn(0)}, []eval.Func{colFn(0)}, []bool{true},
-		nil, InnerJoin, intKinds, intKinds)
-	got, err = Collect(hj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("null-safe equality matched %d rows, want 2", len(got))
-	}
+	db := newDB(t, `
+		CREATE TABLE l (x int); INSERT INTO l VALUES (NULL), (1);
+		CREATE TABLE r (a int); INSERT INTO r VALUES (NULL), (1);
+	`)
+	q := `SELECT x, a FROM l JOIN r ON l.x = r.a`
+	wantRows(t, q, query(t, db, q), "1,1")
+	q = `SELECT x, a FROM l JOIN r ON l.x IS NOT DISTINCT FROM r.a`
+	wantPlan(t, db, q, "VecHashJoin")
+	wantRows(t, q, query(t, db, q), "1,1", "NULL,NULL")
 }
 
+// TestHashJoinResidual: an outer join's residual condition takes part in
+// the match decision, so a key match failing it null-extends.
 func TestHashJoinResidual(t *testing.T) {
-	left := rows([]int64{2, 1}, []int64{2, 9})
-	right := rows([]int64{2, 5})
-	// join on col0 = col0 with residual left.col1 < right.col1.
-	residual := func(ctx *eval.Ctx) (types.Value, error) {
-		return types.NewBool(ctx.Row[1].I < ctx.Row[3].I), nil
-	}
-	hj := NewHashJoin(NewScan(left), NewScan(right),
-		[]eval.Func{colFn(0)}, []eval.Func{colFn(0)}, []bool{false},
-		residual, LeftJoin,
-		[]types.Kind{types.KindInt, types.KindInt},
-		[]types.Kind{types.KindInt, types.KindInt})
-	got := collectInts(t, hj)
-	wantRows(t, got, [][]int64{{2, 1, 2, 5}, {2, 9, -999, -999}})
+	db := newDB(t, `
+		CREATE TABLE l (k int, v int); INSERT INTO l VALUES (2, 1), (2, 9);
+		CREATE TABLE r (k int, w int); INSERT INTO r VALUES (2, 5);
+	`)
+	q := `SELECT l.k, v, r.k, w FROM l LEFT JOIN r ON l.k = r.k AND v < w`
+	wantPlan(t, db, q, "VecHashJoin (left")
+	wantRows(t, q, query(t, db, q), "2,1,2,5", "2,9,NULL,NULL")
+	q = `SELECT l.k, v, r.k, w FROM l RIGHT JOIN r ON l.k = r.k AND v > w`
+	wantRows(t, q, query(t, db, q), "2,9,2,5")
+	q = `SELECT l.k, v, r.k, w FROM l FULL JOIN r ON l.k = r.k AND v > 100`
+	wantRows(t, q, query(t, db, q), "2,1,NULL,NULL", "2,9,NULL,NULL", "NULL,NULL,2,5")
 }
 
 func TestHashAggGlobal(t *testing.T) {
-	input := rows([]int64{1}, []int64{2}, []int64{3})
-	agg := NewHashAgg(NewScan(input), nil, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
-		{Kind: AggSum, Arg: colFn(0), ResultKind: types.KindInt},
-		{Kind: AggAvg, Arg: colFn(0), ResultKind: types.KindFloat},
-		{Kind: AggMin, Arg: colFn(0), ResultKind: types.KindInt},
-		{Kind: AggMax, Arg: colFn(0), ResultKind: types.KindInt},
-	})
-	out, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("rows = %d", len(out))
-	}
-	r := out[0]
-	if r[0].I != 3 || r[1].I != 6 || r[2].F != 2.0 || r[3].I != 1 || r[4].I != 3 {
-		t.Errorf("agg row = %v", r)
-	}
+	db := newDB(t, `CREATE TABLE t (x int); INSERT INTO t VALUES (1), (2), (3);`)
+	q := `SELECT count(*), sum(x), avg(x), min(x), max(x) FROM t`
+	wantRows(t, q, query(t, db, q), "3,6,2,1,3")
 }
 
+// TestHashAggEmptyInput: a global aggregate over empty input yields one
+// row of defaults; a grouped one yields none.
 func TestHashAggEmptyInput(t *testing.T) {
-	agg := NewHashAgg(NewScan(nil), nil, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
-		{Kind: AggSum, Arg: colFn(0), ResultKind: types.KindInt},
-	})
-	out, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0][0].I != 0 || !out[0][1].Null {
-		t.Fatalf("global agg over empty input = %v", out)
-	}
-	// Grouped aggregation over empty input: no rows.
-	agg = NewHashAgg(NewScan(nil), []eval.Func{colFn(0)}, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
-	})
-	out, err = Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Fatalf("grouped agg over empty input = %v", out)
-	}
+	db := newDB(t, `CREATE TABLE t (x int);`)
+	q := `SELECT count(*), sum(x) FROM t`
+	wantRows(t, q, query(t, db, q), "0,NULL")
+	q = `SELECT x, count(*) FROM t GROUP BY x`
+	wantRows(t, q, query(t, db, q))
 }
 
+// TestHashAggGroupsAndDistinct: DISTINCT aggregates fold each distinct
+// non-NULL value once per group.
 func TestHashAggGroupsAndDistinct(t *testing.T) {
-	input := rows([]int64{1, 10}, []int64{1, 10}, []int64{1, 20}, []int64{2, 30})
-	agg := NewHashAgg(NewScan(input), []eval.Func{colFn(0)}, []AggSpec{
-		{Kind: AggCount, Arg: colFn(1), ResultKind: types.KindInt},
-		{Kind: AggCount, Arg: colFn(1), Distinct: true, ResultKind: types.KindInt},
-		{Kind: AggSum, Arg: colFn(1), Distinct: true, ResultKind: types.KindInt},
-	})
-	got := collectInts(t, agg)
-	wantRows(t, got, [][]int64{{1, 3, 2, 30}, {2, 1, 1, 30}})
+	db := newDB(t, `
+		CREATE TABLE t (g int, v int);
+		INSERT INTO t VALUES (1, 10), (1, 10), (1, 20), (1, NULL), (2, 30), (2, NULL), (3, NULL);
+	`)
+	q := `SELECT g, count(v), count(DISTINCT v), sum(DISTINCT v) FROM t GROUP BY g`
+	wantRows(t, q, query(t, db, q), "1,3,2,30", "2,1,1,30", "3,0,0,NULL")
 }
 
+// TestHashAggNullGroups: NULL grouping values form one group.
 func TestHashAggNullGroups(t *testing.T) {
-	input := []types.Row{
-		{types.NewNull(types.KindInt)},
-		{types.NewNull(types.KindInt)},
-		{types.NewInt(1)},
-	}
-	agg := NewHashAgg(NewScan(input), []eval.Func{colFn(0)}, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
-	})
-	got := collectInts(t, agg)
-	wantRows(t, got, [][]int64{{-999, 2}, {1, 1}})
+	db := newDB(t, `CREATE TABLE t (g int); INSERT INTO t VALUES (NULL), (NULL), (1);`)
+	q := `SELECT g, count(*) FROM t GROUP BY g`
+	wantRows(t, q, query(t, db, q), "NULL,2", "1,1")
 }
 
+// TestSortNullsOrdering: NULLs sort last ascending, first descending.
 func TestSortNullsOrdering(t *testing.T) {
-	input := []types.Row{
-		{types.NewInt(2)}, {types.NewNull(types.KindInt)}, {types.NewInt(1)},
-	}
-	s := NewSort(NewScan(input), []SortKey{{Pos: 0}})
-	got := collectInts(t, s)
-	// NULLS LAST ascending.
-	if got[0][0] != 1 || got[1][0] != 2 || got[2][0] != -999 {
-		t.Errorf("asc sort = %v", got)
-	}
-	s = NewSort(NewScan(input), []SortKey{{Pos: 0, Desc: true}})
-	got = collectInts(t, s)
-	// NULLS FIRST descending.
-	if got[0][0] != -999 || got[1][0] != 2 || got[2][0] != 1 {
-		t.Errorf("desc sort = %v", got)
-	}
+	db := newDB(t, `CREATE TABLE t (x int); INSERT INTO t VALUES (2), (NULL), (1);`)
+	q := `SELECT x FROM t ORDER BY x`
+	wantOrdered(t, q, query(t, db, q), "1", "2", "NULL")
+	q = `SELECT x FROM t ORDER BY x DESC`
+	wantOrdered(t, q, query(t, db, q), "NULL", "2", "1")
 }
 
+// TestSortStability: rows with equal keys keep their input order.
 func TestSortStability(t *testing.T) {
-	input := rows([]int64{1, 1}, []int64{1, 2}, []int64{1, 3})
-	s := NewSort(NewScan(input), []SortKey{{Pos: 0}})
-	got := collectInts(t, s)
-	for i, r := range got {
-		if r[1] != int64(i+1) {
-			t.Fatalf("sort not stable: %v", got)
-		}
-	}
+	db := newDB(t, `CREATE TABLE t (k int, seq int); INSERT INTO t VALUES (1, 1), (0, 0), (1, 2), (1, 3);`)
+	q := `SELECT k, seq FROM t ORDER BY k`
+	wantOrdered(t, q, query(t, db, q), "0,0", "1,1", "1,2", "1,3")
 }
 
 func TestLimitOffset(t *testing.T) {
-	input := rows([]int64{1}, []int64{2}, []int64{3}, []int64{4})
-	got := collectInts(t, NewLimit(NewScan(input), 2, 1))
-	wantRows(t, got, [][]int64{{2}, {3}})
-	got = collectInts(t, NewLimit(NewScan(input), 0, 0))
-	if len(got) != 0 {
-		t.Errorf("limit 0 = %v", got)
-	}
-	got = collectInts(t, NewLimit(NewScan(input), -1, 2))
-	wantRows(t, got, [][]int64{{3}, {4}})
+	db := newDB(t, `CREATE TABLE t (x int); INSERT INTO t VALUES (1), (2), (3), (4);`)
+	q := `SELECT x FROM t ORDER BY x LIMIT 2 OFFSET 1`
+	wantOrdered(t, q, query(t, db, q), "2", "3")
+	q = `SELECT x FROM t LIMIT 0`
+	wantOrdered(t, q, query(t, db, q))
+	q = `SELECT x FROM t ORDER BY x OFFSET 2`
+	wantOrdered(t, q, query(t, db, q), "3", "4")
 }
 
+// TestDistinctNode: DISTINCT treats NULLs as equal.
 func TestDistinctNode(t *testing.T) {
-	input := []types.Row{
-		{types.NewInt(1)}, {types.NewInt(1)},
-		{types.NewNull(types.KindInt)}, {types.NewNull(types.KindInt)},
-	}
-	got := collectInts(t, NewDistinct(NewScan(input)))
-	wantRows(t, got, [][]int64{{1}, {-999}})
+	db := newDB(t, `CREATE TABLE t (x int); INSERT INTO t VALUES (1), (1), (NULL), (NULL);`)
+	q := `SELECT DISTINCT x FROM t`
+	wantRows(t, q, query(t, db, q), "1", "NULL")
 }
 
+// TestSetOpSemantics: the multiset semantics of the paper's Fig. 1 —
+// UNION ALL adds multiplicities, INTERSECT ALL takes the minimum, EXCEPT
+// ALL subtracts; the set variants remove duplicates.
 func TestSetOpSemantics(t *testing.T) {
-	left := rows([]int64{1}, []int64{2}, []int64{2}, []int64{3})
-	right := rows([]int64{2}, []int64{3}, []int64{3}, []int64{4})
+	db := newDB(t, `
+		CREATE TABLE l (x int); INSERT INTO l VALUES (1), (2), (2), (3);
+		CREATE TABLE r (x int); INSERT INTO r VALUES (2), (3), (3), (4);
+	`)
 	cases := []struct {
-		kind SetOpKind
+		kind int
+		op   string
 		all  bool
-		want [][]int64
+		want []string
 	}{
-		{Union, false, [][]int64{{1}, {2}, {3}, {4}}},
-		{Union, true, [][]int64{{1}, {2}, {2}, {3}, {2}, {3}, {3}, {4}}},
-		{Intersect, false, [][]int64{{2}, {3}}},
-		{Intersect, true, [][]int64{{2}, {3}}},
-		{Except, false, [][]int64{{1}}},
-		{Except, true, [][]int64{{1}, {2}}},
+		{0, "UNION", false, []string{"1", "2", "3", "4"}},
+		{0, "UNION", true, []string{"1", "2", "2", "3", "2", "3", "3", "4"}},
+		{1, "INTERSECT", false, []string{"2", "3"}},
+		{1, "INTERSECT", true, []string{"2", "3"}},
+		{2, "EXCEPT", false, []string{"1"}},
+		{2, "EXCEPT", true, []string{"1", "2"}},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%d-all=%v", tc.kind, tc.all)
-		t.Run(name, func(t *testing.T) {
-			op := NewSetOp(NewScan(left), NewScan(right), tc.kind, tc.all)
-			wantRows(t, collectInts(t, op), tc.want)
+		tc := tc
+		t.Run(fmt.Sprintf("%d-all=%v", tc.kind, tc.all), func(t *testing.T) {
+			op := tc.op
+			if tc.all {
+				op += " ALL"
+			}
+			q := fmt.Sprintf(`SELECT x FROM l %s SELECT x FROM r`, op)
+			wantRows(t, q, query(t, db, q), tc.want...)
 		})
 	}
 }
 
+// TestSetOpNullRows: set operations treat NULL rows as equal.
 func TestSetOpNullRows(t *testing.T) {
-	null := types.Row{types.NewNull(types.KindInt)}
-	left := []types.Row{null, null.Clone(), {types.NewInt(1)}}
-	right := []types.Row{null.Clone()}
-	// Set ops treat NULLs as equal (null-safe), per SQL set semantics.
-	op := NewSetOp(NewScan(left), NewScan(right), Except, true)
-	got := collectInts(t, op)
-	wantRows(t, got, [][]int64{{-999}, {1}})
+	db := newDB(t, `
+		CREATE TABLE l (x int); INSERT INTO l VALUES (NULL), (NULL), (1);
+		CREATE TABLE r (x int); INSERT INTO r VALUES (NULL);
+	`)
+	q := `SELECT x FROM l EXCEPT ALL SELECT x FROM r`
+	wantRows(t, q, query(t, db, q), "NULL", "1")
 }
 
+// TestFilterErrorPropagation: an error raised while evaluating a filter
+// or projection expression reaches the caller.
 func TestFilterErrorPropagation(t *testing.T) {
-	scan := NewScan(rows([]int64{1}))
-	bad := func(*eval.Ctx) (types.Value, error) {
-		return types.NullValue, fmt.Errorf("boom")
-	}
-	if _, err := Collect(NewFilter(scan, bad)); err == nil {
-		t.Error("filter must propagate evaluation errors")
-	}
-	if _, err := Collect(NewProject(scan, []eval.Func{bad})); err == nil {
-		t.Error("project must propagate evaluation errors")
+	db := newDB(t, `CREATE TABLE t (x int); INSERT INTO t VALUES (1);`)
+	for _, q := range []string{
+		`SELECT x FROM t WHERE 10 / (x - 1) > 0`,
+		`SELECT 10 / (x - 1) FROM t`,
+		`SELECT x FROM t WHERE CASE WHEN x = 1 THEN 10 / (x - 1) ELSE 0 END > 0`,
+	} {
+		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("%s: want a division-by-zero error, got %v", q, err)
+		}
 	}
 }

@@ -173,12 +173,12 @@ var (
 // OpStats: the per-operator profile EXPLAIN ANALYZE collects
 
 // OpStats is one plan operator's runtime profile, filled in by the Probe
-// wrapper nodes (exec.Probe, vexec.Probe) that EXPLAIN ANALYZE inserts
+// wrapper nodes (vexec.Probe) that EXPLAIN ANALYZE inserts
 // around each operator. Probes run on the coordinating goroutine only
 // (parallel worker subtrees are never wrapped), so plain fields suffice.
 type OpStats struct {
 	Rows    int64 // rows (live lanes) emitted
-	Batches int64 // batches emitted (vectorized operators only)
+	Batches int64 // batches emitted
 	OpenNS  int64 // wall time inside Open
 	NextNS  int64 // cumulative wall time inside Next
 	CloseNS int64 // wall time inside Close

@@ -1,5 +1,5 @@
 // EXPLAIN, EXPLAIN ANALYZE and the per-operator harvests over physical
-// plans of both engines.
+// plans.
 //
 // Every walk over a plan tree goes through two functions: eachChild, the
 // one place that knows each operator's children, and describe, the one
@@ -8,11 +8,13 @@
 // thin uses of them, so they cannot disagree about which operators a
 // tree holds.
 //
-// Instrument wraps a freshly planned tree with probe nodes (exec.Probe /
-// vexec.Probe) that time every operator and count what it emits; the
-// tree then executes exactly as planned — probes forward batches and
-// rows by pointer — and ExplainAnalyzed re-renders the same EXPLAIN tree
-// with the observed runtime per operator attached. Instrumentation
+// Instrument wraps the batch operators of a freshly planned tree with
+// probe nodes (vexec.Probe) that time every operator and count what it
+// emits; the tree then executes exactly as planned — probes forward
+// batches by pointer — and ExplainAnalyzed re-renders the same EXPLAIN
+// tree with the observed runtime per operator attached. The root
+// batch→row adapter stays unprobed, so an instrumented plan drains like
+// any other. Instrumentation
 // happens after parallelize, so plan shape validation (which renders
 // replica trees to strings) never sees a probe, and parallel worker
 // subtrees — which run on their own goroutines — are never wrapped: the
@@ -32,35 +34,13 @@ import (
 	"perm/internal/vexec"
 )
 
-// eachChild calls f with the address of each child slot of operator n —
-// an *exec.Node or a *vexec.Node — in EXPLAIN order. A parallel
-// operator's child is its first worker replica's input (replicas are
-// validated to be shape-identical, so one stands for all; the operators
-// are always built with at least one), enumerated only when workers is
-// set.
-func eachChild(n any, workers bool, f func(slot any)) {
+// eachChild calls f with the address of each child slot of operator n
+// in EXPLAIN order. A parallel operator's child is its first worker
+// replica's input (replicas are validated to be shape-identical, so one
+// stands for all; the operators are always built with at least one),
+// enumerated only when workers is set.
+func eachChild(n any, workers bool, f func(slot *vexec.Node)) {
 	switch x := n.(type) {
-	case *exec.Filter:
-		f(&x.Input)
-	case *exec.Project:
-		f(&x.Input)
-	case *exec.NestedLoopJoin:
-		f(&x.Left)
-		f(&x.Right)
-	case *exec.HashJoin:
-		f(&x.Left)
-		f(&x.Right)
-	case *exec.HashAgg:
-		f(&x.Input)
-	case *exec.Sort:
-		f(&x.Input)
-	case *exec.Limit:
-		f(&x.Input)
-	case *exec.Distinct:
-		f(&x.Input)
-	case *exec.SetOp:
-		f(&x.Left)
-		f(&x.Right)
 	case *vexec.RowSource:
 		f(&x.Input)
 	case *vexec.Filter:
@@ -118,28 +98,6 @@ type opDesc struct {
 func describe(n any, analyzed bool) opDesc {
 	var d opDesc
 	switch x := n.(type) {
-	case *exec.Scan:
-		d.label = fmt.Sprintf("Scan (%d rows)", len(x.Rows))
-		d.scan, d.table = true, x.Table
-	case *exec.Filter:
-		d.label = "Filter"
-	case *exec.Project:
-		d.label = fmt.Sprintf("Project (%d cols)", len(x.Exprs))
-	case *exec.NestedLoopJoin:
-		d.label = fmt.Sprintf("NestedLoopJoin (%s)", joinName(x.Type))
-	case *exec.HashJoin:
-		d.label = fmt.Sprintf("HashJoin (%s, %d keys)", joinName(x.Type), len(x.LeftKeys))
-	case *exec.HashAgg:
-		d.label = fmt.Sprintf("HashAggregate (%d groups, %d aggs)", len(x.Groups), len(x.Aggs))
-	case *exec.Sort:
-		d.label = fmt.Sprintf("Sort (%d keys%s)", len(x.Keys), spillTag(x.Spill))
-		d.extra = resAnnot(analyzed, x.Spill)
-	case *exec.Limit:
-		d.label = "Limit"
-	case *exec.Distinct:
-		d.label = "Distinct"
-	case *exec.SetOp:
-		d.label = fmt.Sprintf("SetOp (%s, all=%v)", setOpName(x.Kind), x.All)
 	case *vexec.RowSource:
 		d.label = "BatchToRow"
 	case *vexec.ColScan:
@@ -168,10 +126,10 @@ func describe(n any, analyzed bool) opDesc {
 		if x.PublishesFilters() {
 			rf = ", RuntimeFilter"
 		}
-		d.label = fmt.Sprintf("VecHashJoin (%s, %d keys%s%s)", vecJoinName(x.Type), len(x.LeftKeys), rf, spillTag(x.Spill))
+		d.label = fmt.Sprintf("VecHashJoin (%s, %d keys%s%s)", joinName(x.Type), len(x.LeftKeys), rf, spillTag(x.Spill))
 		d.extra = resAnnot(analyzed, x.Spill)
 	case *vexec.NLJoin:
-		d.label = fmt.Sprintf("VecNestedLoopJoin (%s)", vecJoinName(x.Type))
+		d.label = fmt.Sprintf("VecNestedLoopJoin (%s)", joinName(x.Type))
 	case *vexec.HashAgg:
 		d.label = fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s)", len(x.Groups), len(x.Aggs), spillTag(x.Spill))
 		d.extra = resAnnot(analyzed, x.Spill)
@@ -232,8 +190,6 @@ func unwrap(n any) (any, *obs.OpStats) {
 	var st *obs.OpStats
 	for {
 		switch x := n.(type) {
-		case *exec.Probe:
-			n, st = x.Input, x.Stats
 		case *vexec.Probe:
 			n, st = x.Input, x.Stats
 		case *vexec.MorselTap:
@@ -244,23 +200,14 @@ func unwrap(n any) (any, *obs.OpStats) {
 	}
 }
 
-// walk visits the operator held in slot and then, in pre-order, every
-// operator below it, including the first worker replica under each
-// parallel operator. visit gets the operator with probes and taps looked
-// through, its probe's measurements (nil when unprobed), whether it is a
-// vectorized operator, and its depth below the starting slot.
-func walk(slot any, depth int, visit func(op any, st *obs.OpStats, vec bool, depth int)) {
-	var n any
-	vec := false
-	switch s := slot.(type) {
-	case *exec.Node:
-		n = *s
-	case *vexec.Node:
-		n, vec = *s, true
-	}
+// walk visits operator n and then, in pre-order, every operator below
+// it, including the first worker replica under each parallel operator.
+// visit gets the operator with probes and taps looked through, its
+// probe's measurements (nil when unprobed) and its depth below n.
+func walk(n any, depth int, visit func(op any, st *obs.OpStats, depth int)) {
 	op, st := unwrap(n)
-	visit(op, st, vec, depth)
-	eachChild(op, true, func(c any) { walk(c, depth+1, visit) })
+	visit(op, st, depth)
+	eachChild(op, true, func(c *vexec.Node) { walk(*c, depth+1, visit) })
 }
 
 // appendLine appends one indented EXPLAIN line.
@@ -274,36 +221,30 @@ func appendLine(out []byte, depth int, label, annotation string) []byte {
 }
 
 // Explain renders a plan tree as an indented string (EXPLAIN output).
-func Explain(n exec.Node) string { return explain(&n) }
+func Explain(n exec.Node) string { return explain(n) }
 
-func explain(slot any) string {
+func explain(n any) string {
 	var out []byte
-	walk(slot, 0, func(op any, _ *obs.OpStats, _ bool, depth int) {
+	walk(n, 0, func(op any, _ *obs.OpStats, depth int) {
 		out = appendLine(out, depth, describe(op, false).label, "")
 	})
 	return string(out)
 }
 
-// Instrument wraps every operator of a planned tree with an EXPLAIN
-// ANALYZE probe and returns the instrumented root. The tree is modified
-// in place (children are rewrapped); plan trees are per-execution, so
+// Instrument wraps every batch operator of a planned tree with an
+// EXPLAIN ANALYZE probe and returns the root. The tree is modified in
+// place (children are rewrapped); plan trees are per-execution, so
 // nothing shared is touched. Parallel operators are probed as a unit:
 // their worker subtrees run concurrently and must not share a
 // coordinator-side collector.
 func Instrument(n exec.Node) exec.Node {
-	instrument(&n)
+	eachChild(n, false, instrument)
 	return n
 }
 
-func instrument(slot any) {
-	switch s := slot.(type) {
-	case *exec.Node:
-		eachChild(*s, false, instrument)
-		*s = exec.NewProbe(*s)
-	case *vexec.Node:
-		eachChild(*s, false, instrument)
-		*s = vexec.NewProbe(*s)
-	}
+func instrument(slot *vexec.Node) {
+	eachChild(*slot, false, instrument)
+	*slot = vexec.NewProbe(*slot)
 }
 
 // ExplainAnalyzed renders an instrumented tree after execution: the
@@ -312,9 +253,9 @@ func instrument(slot any) {
 // bytes) so operators need not sum the per-operator rows by hand.
 func ExplainAnalyzed(n exec.Node, total time.Duration, peakMem, spilled int64) string {
 	var out []byte
-	walk(&n, 0, func(op any, st *obs.OpStats, vec bool, depth int) {
+	walk(n, 0, func(op any, st *obs.OpStats, depth int) {
 		d := describe(op, true)
-		out = appendLine(out, depth, d.label, annot(op, st, vec, d))
+		out = appendLine(out, depth, d.label, annot(op, st, d))
 	})
 	out = append(out, fmt.Sprintf("Execution time: %s (peak memory %dB, spilled %dB)\n",
 		fmtDur(total.Nanoseconds()), peakMem, spilled)...)
@@ -322,13 +263,13 @@ func ExplainAnalyzed(n exec.Node, total time.Duration, peakMem, spilled int64) s
 }
 
 // OperatorSpans harvests the probe measurements of an instrumented tree
-// as trace spans, one per probed operator in plan (pre-order) position,
-// nested one level below the execute phase span. Start offsets are not
-// knowable from cumulative probe counters, so spans carry durations
-// only.
+// as trace spans, one per probed operator in plan (pre-order) position;
+// the root's input nests one level below the execute phase span. Start
+// offsets are not knowable from cumulative probe counters, so spans
+// carry durations only.
 func OperatorSpans(n exec.Node) []obs.Span {
 	var spans []obs.Span
-	walk(&n, 1, func(op any, st *obs.OpStats, _ bool, depth int) {
+	walk(n, 0, func(op any, st *obs.OpStats, depth int) {
 		if st != nil {
 			spans = append(spans, obs.Span{Name: describe(op, false).name, Depth: depth, DurNS: st.TotalNS(), Rows: st.Rows})
 		}
@@ -345,7 +286,7 @@ func OperatorSpans(n exec.Node) []obs.Span {
 // probed as a unit and reports for them.
 func OperatorEstimates(n exec.Node) []obs.OpEst {
 	var out []obs.OpEst
-	walk(&n, 0, func(op any, st *obs.OpStats, _ bool, _ int) {
+	walk(n, 0, func(op any, st *obs.OpStats, _ int) {
 		if est := estOf(op); st != nil && est > 0 {
 			d := describe(op, true)
 			out = append(out, obs.OpEst{Op: d.name, EstRows: est, ActRows: actual(st, d)})
@@ -362,18 +303,16 @@ func OperatorEstimates(n exec.Node) []obs.OpEst {
 // rejected it, so emitted plus pruned is exact.
 func actual(st *obs.OpStats, d opDesc) int64 { return st.Rows + d.pruned }
 
-// annot renders the shared probe annotation: wall time, emitted rows,
-// and (vectorized) batches, then the planner's cardinality estimate next
+// annot renders the shared probe annotation: wall time, emitted rows
+// and batches, then the planner's cardinality estimate next
 // to the actual rows and their q-error, plus any operator-specific
 // extras. Nodes without a probe (worker replica subtrees) still show
 // their estimate and extras.
-func annot(op any, st *obs.OpStats, vec bool, d opDesc) string {
+func annot(op any, st *obs.OpStats, d opDesc) string {
 	var parts []string
 	if st != nil {
-		parts = append(parts, "time="+fmtDur(st.TotalNS()), fmt.Sprintf("rows=%d", st.Rows))
-		if vec {
-			parts = append(parts, fmt.Sprintf("batches=%d", st.Batches))
-		}
+		parts = append(parts, "time="+fmtDur(st.TotalNS()), fmt.Sprintf("rows=%d", st.Rows),
+			fmt.Sprintf("batches=%d", st.Batches))
 	}
 	if est := estOf(op); est > 0 {
 		parts = append(parts, fmt.Sprintf("est=%.0f", est))

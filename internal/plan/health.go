@@ -12,7 +12,7 @@ import (
 // digits keeps the hash stable across pure cardinality drift — scan row
 // counts change with every DML, and a LIMIT constant is a literal, not a
 // shape — while anything structural (operator choice, join order, build
-// side, vectorized vs row placement, spill mode, runtime-filter wiring,
+// side, spill mode, runtime-filter wiring,
 // parallel operators) changes the rendered text and therefore the hash.
 // Scan names are folded in separately because EXPLAIN renders scans
 // anonymously: a build-side swap between two equally-shaped scans moves
@@ -21,7 +21,7 @@ import (
 // renders a plan.
 func Hash(n exec.Node) uint64 {
 	var text, scans []byte
-	walk(&n, 0, func(op any, _ *obs.OpStats, _ bool, depth int) {
+	walk(n, 0, func(op any, _ *obs.OpStats, depth int) {
 		d := describe(op, false)
 		text = appendLine(text, depth, d.label, "")
 		if d.scan {

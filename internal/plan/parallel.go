@@ -52,21 +52,21 @@ const (
 // replica shape drift, a snapshot change between replans, an ineligible
 // spine — leaves the serial plan untouched.
 func (p *Planner) parallelize(q *algebra.Query, pl *planned) {
-	site, kind, depth := findSite(pl.vnode, 0)
+	site, kind, depth := findSite(pl.node, 0)
 	if kind == siteNone {
 		return
 	}
 	driver0 := spineDriver(siteSpine(site, kind))
-	shape := vnodeShape(pl.vnode)
+	shape := vnodeShape(pl.node)
 	sites := []vexec.Node{site}
 	drivers := []*vexec.ColScan{driver0}
 	for i := 1; i < p.parallelism; i++ {
 		rpl, err := p.planQuery(q)
-		if err != nil || rpl.vnode == nil || vnodeShape(rpl.vnode) != shape {
+		if err != nil || vnodeShape(rpl.node) != shape {
 			obs.SerialFallbacks.Inc()
 			return
 		}
-		rsite := nthWrapperChild(rpl.vnode, depth)
+		rsite := nthWrapperChild(rpl.node, depth)
 		if rsite == nil {
 			obs.SerialFallbacks.Inc()
 			return
@@ -117,13 +117,10 @@ func (p *Planner) parallelize(q *algebra.Query, pl *planned) {
 		setEstNode(pn, c.EstimatedRows())
 	}
 	if depth == 0 {
-		p.setVNode(pl, pn)
-		if c, ok := pn.(interface{ EstimatedRows() float64 }); ok {
-			setEstNode(pl.node, c.EstimatedRows())
-		}
+		pl.node = pn
 		return
 	}
-	setWrapperChild(nthWrapperChild(pl.vnode, depth-1), pn)
+	setWrapperChild(nthWrapperChild(pl.node, depth-1), pn)
 }
 
 // findSite walks down through order-restoring wrappers to the highest
@@ -205,7 +202,8 @@ func eligibleSpine(n vexec.Node) bool {
 
 // spineDriver descends the streaming probe spine — filter and projection
 // inputs, the probe (left) side of joins — to the driver columnar scan.
-// Anything else breaks the spine (nil).
+// Anything else breaks the spine (nil), including right and full joins:
+// every replica would emit their unmatched build rows.
 func spineDriver(n vexec.Node) *vexec.ColScan {
 	switch x := n.(type) {
 	case *vexec.ColScan:
@@ -215,8 +213,14 @@ func spineDriver(n vexec.Node) *vexec.ColScan {
 	case *vexec.Project:
 		return spineDriver(x.Input)
 	case *vexec.HashJoin:
+		if x.Type == vexec.RightJoin || x.Type == vexec.FullJoin {
+			return nil
+		}
 		return spineDriver(x.Left)
 	case *vexec.NLJoin:
+		if x.Type == vexec.RightJoin || x.Type == vexec.FullJoin {
+			return nil
+		}
 		return spineDriver(x.Left)
 	case *vexec.MorselTap:
 		// Wired worker pipelines (ParallelAgg/ParallelSort inputs) carry a
@@ -252,10 +256,14 @@ func wireSpineTags(n vexec.Node) vexec.TagSource {
 // the serial result. COUNT, MIN and MAX always do; SUM and AVG only over
 // non-float arguments — float addition is not associative, and since
 // results are formatted with strconv's shortest representation, even a
-// 1-ulp reassociation difference would be visible. Float SUM/AVG keeps
-// serial accumulation (the planner puts the exchange below the agg).
+// 1-ulp reassociation difference would be visible. Float SUM/AVG and
+// DISTINCT aggregates (whose seen sets do not merge) keep serial
+// accumulation (the planner puts the exchange below the agg).
 func aggsMergeExact(aggs []vexec.AggSpec) bool {
 	for i := range aggs {
+		if aggs[i].Distinct {
+			return false
+		}
 		switch aggs[i].Fn {
 		case algebra.AggSum, algebra.AggAvg:
 			if aggs[i].Arg == nil || aggs[i].Arg.Kind() == types.KindFloat {
@@ -329,7 +337,7 @@ func setWrapperChild(n, child vexec.Node) {
 
 // vnodeShape renders a vectorized tree to its EXPLAIN string, the
 // structural fingerprint replicas are validated against.
-func vnodeShape(n vexec.Node) string { return explain(&n) }
+func vnodeShape(n vexec.Node) string { return explain(n) }
 
 // sameSnapshot reports whether two scans read the identical columnar
 // snapshot. SnapshotColumns caches pointer-stable vectors per heap

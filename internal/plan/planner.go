@@ -25,22 +25,14 @@ import (
 // Planner plans query trees against a catalog.
 type Planner struct {
 	cat         *catalog.Catalog
-	vectorized  bool
 	budget      *mem.Budget
 	spillDir    string
 	parallelism int
 	activity    *obs.ActiveQuery
 }
 
-// New returns a planner with the vectorized lowering path enabled.
-func New(cat *catalog.Catalog) *Planner { return &Planner{cat: cat, vectorized: true} }
-
-// SetVectorized toggles the vectorized lowering path (on by default).
-// When off, every plan subtree lowers to row-at-a-time operators.
-func (p *Planner) SetVectorized(on bool) *Planner {
-	p.vectorized = on
-	return p
-}
+// New returns a planner over the catalog.
+func New(cat *catalog.Catalog) *Planner { return &Planner{cat: cat} }
 
 // SetResources attaches the session memory budget and spill directory;
 // every materializing operator the planner builds takes a reservation
@@ -70,32 +62,27 @@ func (p *Planner) spillRes(op string) spill.Resources {
 	return spill.Resources{Res: p.budget.Reserve(op), Dir: p.spillDir}
 }
 
-// Plan lowers a query tree to an executable node.
+// Plan lowers a query tree to batch operators under a batch→row
+// adapter, the executable root.
 func (p *Planner) Plan(q *algebra.Query) (exec.Node, error) {
 	pl, err := p.planQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	if p.parallelism > 1 && pl.vnode != nil {
+	if p.parallelism > 1 {
 		p.parallelize(q, pl)
 	}
-	return pl.node, nil
+	root := vexec.NewRowSource(pl.node)
+	if c, ok := pl.node.(interface{ EstimatedRows() float64 }); ok {
+		setEstNode(root, c.EstimatedRows())
+	}
+	return root, nil
 }
 
-// planned is a plan fragment: an executor node plus the layout of its
-// output row and a cardinality estimate for join ordering.
-//
-// When the whole fragment is vectorized, vnode holds the batch operator
-// tree and node is the same tree behind a batch→row adapter, so row
-// operators can always consume the fragment. Operators that stay on the
-// row engine clear vnode for everything above them.
+// planned is a plan fragment: a batch operator tree plus the layout of
+// its output row and a cardinality estimate for join ordering.
 type planned struct {
-	node  exec.Node
-	vnode vexec.Node
-	// rowScan lazily builds the row-engine scan for a fragment that is
-	// still a bare columnar scan, so a row-only consumer can take the
-	// heap rows directly instead of boxing every batch lane (demotion).
-	rowScan func() exec.Node
+	node vexec.Node
 	// layout maps range-table index → offset of that entry's columns in
 	// the output row.
 	layout map[int]int
@@ -152,17 +139,10 @@ func (p *Planner) planQuery(q *algebra.Query) (*planned, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized lowering helpers
+// Estimates and filters
 
-// setVNode marks a fragment vectorized: its row node becomes the same
-// tree behind a batch→row adapter.
-func (p *Planner) setVNode(pl *planned, vn vexec.Node) {
-	pl.vnode = vn
-	pl.node = vexec.NewRowSource(vn)
-}
-
-// setEstNode records a cardinality estimate on a physical operator (both
-// engines embed obs.Card). Estimates below one row are annotated as one:
+// setEstNode records a cardinality estimate on a physical operator (every
+// operator embeds obs.Card). Estimates below one row are annotated as one:
 // the planner's fractional bookkeeping floors (0.1) are meaningful for
 // cost comparison but "less than one row" is what they mean as output.
 func setEstNode(n any, est float64) {
@@ -179,68 +159,39 @@ func setEstNode(n any, est float64) {
 
 // setFragEst records est as the fragment's estimated output cardinality,
 // both in the planner's bookkeeping (join ordering, build-side choice)
-// and on the fragment's physical root — including the batch→row adapter
-// when the fragment is vectorized — for EXPLAIN ANALYZE's cardinality
+// and on the fragment's physical root, for EXPLAIN ANALYZE's cardinality
 // feedback.
 func setFragEst(pl *planned, est float64) {
 	pl.est = est
-	setEstNode(pl.vnode, est)
 	setEstNode(pl.node, est)
 }
 
-// setScanEst annotates a fresh scan fragment's physical operators with
-// the snapshot's exact row count. The fragment's bookkeeping estimate
-// stays at n+1 (join ordering and build-side choice are tuned to it);
-// EXPLAIN ANALYZE compares the annotation with the rows actually read.
-func setScanEst(pl *planned, n int) {
-	setEstNode(pl.vnode, float64(n))
-	setEstNode(pl.node, float64(n))
+// compilePred compiles a predicate, coercing an untyped-NULL one to a
+// boolean (NULL, so never true).
+func compilePred(e algebra.Expr, bind eval.Binder) (*vexec.Expr, error) {
+	pred, err := vexec.CompileExpr(e, bind)
+	if err != nil {
+		return nil, err
+	}
+	return vexec.Coerce(pred, types.KindBool), nil
 }
 
-// demote reverts a fragment that is still a bare columnar scan to the
-// row-engine scan. The adapter over a bare scan only boxes rows the heap
-// already stores, so a row-only consumer is strictly better off with the
-// row snapshot; once the fragment carries vectorized filters, joins or
-// aggregation, adapting is worthwhile and demote leaves it alone.
-func demote(pl *planned) {
-	if pl.vnode == nil || pl.rowScan == nil {
-		return
-	}
-	if scan, ok := pl.vnode.(*vexec.ColScan); ok {
-		pl.node = pl.rowScan()
-		pl.vnode = nil
-		setEstNode(pl.node, scan.EstRows)
-	}
-}
-
-// attachFilter adds a filter for e on top of the fragment, staying
-// vectorized when the predicate compiles for the batch engine and
-// falling back to a row filter (over the fragment's adapter) otherwise.
-// The fragment's cardinality estimate is scaled by the predicate's
-// estimated selectivity.
+// attachFilter adds a filter for e on top of the fragment. The
+// fragment's cardinality estimate is scaled by the predicate's estimated
+// selectivity.
 func (p *Planner) attachFilter(pl *planned, e algebra.Expr) error {
 	if e == nil {
 		return nil
 	}
-	binder := &rowBinder{p: p, layout: pl.layout}
 	est := pl.est * p.selectivity(e, pl)
 	if est < 0.1 {
 		est = 0.1
 	}
-	if pl.vnode != nil {
-		if ve, err := vexec.CompileExpr(e, binder); err == nil && ve.Kind() == types.KindBool {
-			p.setVNode(pl, vexec.NewFilter(pl.vnode, ve))
-			setFragEst(pl, est)
-			return nil
-		}
-	}
-	demote(pl)
-	pred, err := eval.Compile(e, binder)
+	pred, err := compilePred(e, &rowBinder{p: p, layout: pl.layout})
 	if err != nil {
 		return err
 	}
-	pl.vnode = nil
-	pl.node = exec.NewFilter(pl.node, pred)
+	pl.node = vexec.NewFilter(pl.node, pred)
 	setFragEst(pl, est)
 	return nil
 }
@@ -262,15 +213,11 @@ func (p *Planner) planSetOp(q *algebra.Query) (*planned, error) {
 		return nil, err
 	}
 	est := pl.est
-	node, vnode, err := p.applySortLimit(q, pl.node, pl.vnode, len(q.TargetList), est)
-	if err != nil {
-		return nil, err
-	}
+	node := p.applySortLimit(q, pl.node, len(q.TargetList), est)
 	if c, ok := q.Limit.(*algebra.Const); ok && !c.Val.Null && float64(c.Val.I) < est {
 		est = float64(c.Val.I)
 	}
-	schema := q.Schema()
-	return &planned{node: node, vnode: vnode, kinds: schema.Kinds(), est: est}, nil
+	return &planned{node: node, kinds: pl.kinds, est: est}, nil
 }
 
 func (p *Planner) foldSetOp(item algebra.SetOpItem, branches map[int]*planned) (*planned, error) {
@@ -286,36 +233,53 @@ func (p *Planner) foldSetOp(item algebra.SetOpItem, branches map[int]*planned) (
 		if err != nil {
 			return nil, err
 		}
-		var kind exec.SetOpKind
+		var kind vexec.SetOpKind
 		switch n.Op {
 		case algebra.SetUnion:
-			kind = exec.Union
+			kind = vexec.Union
 		case algebra.SetIntersect:
-			kind = exec.Intersect
+			kind = vexec.Intersect
 		case algebra.SetExcept:
-			kind = exec.Except
+			kind = vexec.Except
+		}
+		// The set operation stores rows in columns typed after its left
+		// input, so branches whose column kinds differ are first coerced
+		// to their common kinds.
+		if !kindsMatch(left.kinds, right.kinds) {
+			kinds := make([]types.Kind, len(left.kinds))
+			for i := range kinds {
+				k, err := types.CommonKind(left.kinds[i], right.kinds[i])
+				if err != nil {
+					return nil, fmt.Errorf("plan: set operation column %d: %v", i+1, err)
+				}
+				kinds[i] = k
+			}
+			left, right = coerceFrag(left, kinds), coerceFrag(right, kinds)
 		}
 		out := &planned{kinds: left.kinds, est: left.est + right.est}
-		// The vectorized set operation requires identical column kinds on
-		// both branches (its stored columns are typed after the left
-		// branch); mismatched branches stay on the row engine, whose boxed
-		// rows compare across kinds dynamically.
-		if p.vectorized && left.vnode != nil && right.vnode != nil &&
-			kindsMatch(left.kinds, right.kinds) {
-			vso := vexec.NewVecSetOp(left.vnode, right.vnode, kind, n.All)
-			vso.Spill = p.spillRes("setop")
-			p.setVNode(out, vso)
-			setFragEst(out, out.est)
-			return out, nil
-		}
-		demote(left)
-		demote(right)
-		out.node = exec.NewSetOp(left.node, right.node, kind, n.All)
+		vso := vexec.NewVecSetOp(left.node, right.node, kind, n.All)
+		vso.Spill = p.spillRes("setop")
+		out.node = vso
 		setFragEst(out, out.est)
 		return out, nil
 	default:
 		return nil, fmt.Errorf("plan: unknown set operation item %T", item)
 	}
+}
+
+// coerceFrag returns the fragment with its columns converted to kinds by
+// a projection (kinds that already agree pass through as references).
+func coerceFrag(pl *planned, kinds []types.Kind) *planned {
+	if kindsMatch(pl.kinds, kinds) {
+		return pl
+	}
+	exprs := make([]*vexec.Expr, len(kinds))
+	for i, k := range kinds {
+		exprs[i] = vexec.Coerce(vexec.ColumnRef(i, pl.kinds[i]), k)
+	}
+	out := &planned{node: vexec.NewProject(pl.node, exprs), kinds: kinds}
+	setFragEst(out, pl.est)
+	return out
 }
 
 func kindsMatch(a, b []types.Kind) bool {
@@ -341,17 +305,14 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 		return nil, err
 	}
 
-	// 2. Aggregation or plain projection. Both stay vectorized when the
-	// input fragment is and every expression compiles for the batch
-	// engine; otherwise the fragment drops to the row engine here.
-	var node exec.Node
-	var vnode vexec.Node
+	// 2. Aggregation or plain projection.
+	var node vexec.Node
 	var outCols []colInfo
 	var outWidth = len(q.TargetList)
 	est := input.est
 	if q.HasAggs {
 		est = p.aggEstimate(q, input)
-		node, vnode, err = p.planAggregation(q, input, est)
+		node, err = p.planAggregation(q, input, est)
 		if err != nil {
 			return nil, err
 		}
@@ -364,24 +325,12 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 		// output references.
 		extraSort := p.extraSortExprs(q)
 		exprs = append(exprs, extraSort...)
-		if input.vnode != nil {
-			if ves, err := vexec.CompileExprs(exprs, &rowBinder{p: p, layout: input.layout}); err == nil {
-				vnode = vexec.NewProject(input.vnode, ves)
-				node = vexec.NewRowSource(vnode)
-				setEstNode(vnode, est)
-				setEstNode(node, est)
-			}
+		ves, err := vexec.CompileExprs(exprs, &rowBinder{p: p, layout: input.layout})
+		if err != nil {
+			return nil, err
 		}
-		if node == nil {
-			demote(input)
-			binder := &rowBinder{p: p, layout: input.layout}
-			fns, err := eval.CompileAll(exprs, binder)
-			if err != nil {
-				return nil, err
-			}
-			node = exec.NewProject(input.node, fns)
-			setEstNode(node, est)
-		}
+		node = vexec.NewProject(input.node, ves)
+		setEstNode(node, est)
 		// Column provenance passes through the projection wherever an
 		// output expression is a bare column reference.
 		outCols = make([]colInfo, outWidth)
@@ -399,24 +348,14 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 	// rows, so the duplicate elimination inherits its input estimate (an
 	// upper bound; the q-error feedback shows how loose it was).
 	if q.Distinct {
-		if vnode != nil {
-			vd := vexec.NewVecDistinct(vnode)
-			vd.Spill = p.spillRes("distinct")
-			vnode = vd
-			node = vexec.NewRowSource(vnode)
-			setEstNode(vnode, est)
-			setEstNode(node, est)
-		} else {
-			node = exec.NewDistinct(node)
-			setEstNode(node, est)
-		}
+		vd := vexec.NewVecDistinct(node)
+		vd.Spill = p.spillRes("distinct")
+		node = vd
+		setEstNode(node, est)
 	}
 
 	// 4. ORDER BY / LIMIT / OFFSET (strips hidden sort columns).
-	node, vnode, err = p.applySortLimit(q, node, vnode, outWidth, est)
-	if err != nil {
-		return nil, err
-	}
+	node = p.applySortLimit(q, node, outWidth, est)
 	if q.Limit != nil || q.Offset != nil {
 		// Which rows survive a limit depends on rows pruning would
 		// remove, so runtime filters must not reach through it.
@@ -427,7 +366,7 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 	}
 
 	schema := q.Schema()
-	return &planned{node: node, vnode: vnode, kinds: schema.Kinds(), cols: outCols, est: est}, nil
+	return &planned{node: node, kinds: schema.Kinds(), cols: outCols, est: est}, nil
 }
 
 // aggEstimate estimates the group count of an aggregation: the product
@@ -478,15 +417,14 @@ func (p *Planner) extraSortExprs(q *algebra.Query) []algebra.Expr {
 // reference the query's own output columns.
 const outputRT = -1
 
-// applySortLimit adds sort/top-N/limit nodes on top of the fragment,
-// staying on the batch engine when the input is vectorized: ORDER BY
-// lowers to VecSort (or, with a LIMIT, to the limit-aware VecTopN heap),
-// a bare LIMIT/OFFSET to VecLimit. outWidth is the real output width;
-// hidden sort columns (if any) sit beyond it and are stripped by a
-// projection above the sort. est is the input fragment's cardinality
-// estimate, used only to annotate the constructed operators (sorts
-// preserve it, top-N/limit cap it at the row count they emit).
-func (p *Planner) applySortLimit(q *algebra.Query, node exec.Node, vnode vexec.Node, outWidth int, est float64) (exec.Node, vexec.Node, error) {
+// applySortLimit adds sort/top-N/limit nodes on top of the fragment:
+// ORDER BY lowers to VecSort (or, with a LIMIT, to the limit-aware
+// VecTopN heap), a bare LIMIT/OFFSET to VecLimit. outWidth is the real
+// output width; hidden sort columns (if any) sit beyond it and are
+// stripped by a projection above the sort. est is the input fragment's
+// cardinality estimate, used only to annotate the constructed operators
+// (sorts preserve it, top-N/limit cap it at the row count they emit).
+func (p *Planner) applySortLimit(q *algebra.Query, node vexec.Node, outWidth int, est float64) vexec.Node {
 	var count, offset int64 = -1, 0
 	if q.Limit != nil {
 		count = q.Limit.(*algebra.Const).Val.I
@@ -495,81 +433,42 @@ func (p *Planner) applySortLimit(q *algebra.Query, node exec.Node, vnode vexec.N
 		offset = q.Offset.(*algebra.Const).Val.I
 	}
 	if len(q.OrderBy) > 0 {
-		keys := make([]exec.SortKey, 0, len(q.OrderBy))
+		keys := make([]vexec.SortKey, 0, len(q.OrderBy))
 		hidden := outWidth
 		for _, si := range q.OrderBy {
 			if v, ok := si.Expr.(*algebra.Var); ok && v.RT == outputRT {
-				keys = append(keys, exec.SortKey{Pos: v.Col, Desc: si.Desc})
+				keys = append(keys, vexec.SortKey{Pos: v.Col, Desc: si.Desc})
 				continue
 			}
-			keys = append(keys, exec.SortKey{Pos: hidden, Desc: si.Desc})
+			keys = append(keys, vexec.SortKey{Pos: hidden, Desc: si.Desc})
 			hidden++
 		}
-		// The hidden-column strip must compile for the batch engine for
-		// the sort to stay vectorized; its inputs are the (already
-		// vectorized) projection outputs, so this only fails on kinds the
-		// pipeline could not have produced.
-		var strip []*vexec.Expr
-		if vnode != nil && hidden > outWidth {
-			kinds := q.Schema().Kinds()
-			exprs := make([]algebra.Expr, outWidth)
-			for i := 0; i < outWidth; i++ {
-				exprs[i] = &algebra.Var{RT: flatRT, Col: i, Name: "col", Typ: kinds[i]}
-			}
-			var err error
-			strip, err = vexec.CompileExprs(exprs, &flatBinder{p: p})
-			if err != nil {
-				vnode = nil
-			}
-		}
-		if vnode != nil {
-			if count >= 0 {
-				vnode = vexec.NewVecTopN(vnode, keys, count, offset)
-				count, offset = -1, 0 // the heap applied them
-				est = limitEst(est, vnode.(*vexec.VecTopN).Count)
-			} else {
-				vs := vexec.NewVecSort(vnode, keys)
-				vs.Spill = p.spillRes("sort")
-				vnode = vs
-			}
-			setEstNode(vnode, est)
-			if strip != nil {
-				vnode = vexec.NewProject(vnode, strip)
-				setEstNode(vnode, est)
-			}
-			node = vexec.NewRowSource(vnode)
-			setEstNode(node, est)
+		if count >= 0 {
+			node = vexec.NewVecTopN(node, keys, count, offset)
+			count, offset = -1, 0 // the heap applied them
+			est = limitEst(est, node.(*vexec.VecTopN).Count)
 		} else {
-			vnode = nil
-			rs := exec.NewSort(node, keys)
-			rs.Spill = p.spillRes("sort")
-			node = rs
-			setEstNode(node, est)
-			if hidden > outWidth {
-				// Strip hidden columns.
-				fns := make([]eval.Func, outWidth)
-				for i := 0; i < outWidth; i++ {
-					pos := i
-					fns[i] = func(ctx *eval.Ctx) (types.Value, error) { return ctx.Row[pos], nil }
-				}
-				node = exec.NewProject(node, fns)
-				setEstNode(node, est)
+			vs := vexec.NewVecSort(node, keys)
+			vs.Spill = p.spillRes("sort")
+			node = vs
+		}
+		setEstNode(node, est)
+		if hidden > outWidth {
+			kinds := q.Schema().Kinds()
+			strip := make([]*vexec.Expr, outWidth)
+			for i := range strip {
+				strip[i] = vexec.ColumnRef(i, kinds[i])
 			}
+			node = vexec.NewProject(node, strip)
+			setEstNode(node, est)
 		}
 	}
 	if count >= 0 || offset > 0 {
 		est = limitEst(est, count)
-		if vnode != nil {
-			vnode = vexec.NewVecLimit(vnode, count, offset)
-			node = vexec.NewRowSource(vnode)
-			setEstNode(vnode, est)
-			setEstNode(node, est)
-		} else {
-			node = exec.NewLimit(node, count, offset)
-			setEstNode(node, est)
-		}
+		node = vexec.NewVecLimit(node, count, offset)
+		setEstNode(node, est)
 	}
-	return node, vnode, nil
+	return node
 }
 
 // limitEst caps an estimate at a LIMIT count (negative: no limit).
@@ -587,7 +486,7 @@ func (p *Planner) planFrom(q *algebra.Query) (*planned, error) {
 	if len(q.From) == 0 {
 		// FROM-less query: a single empty row drives the projection.
 		pl := &planned{
-			node:   exec.NewScan([]types.Row{{}}),
+			node:   vexec.NewColScan(nil, 1),
 			layout: map[int]int{},
 			rts:    map[int]bool{},
 			est:    1,
@@ -879,16 +778,16 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, cond al
 		combined.layout[rt] = off + shift
 	}
 
-	var jt exec.JoinType
+	var jt vexec.JoinType
 	switch kind {
 	case algebra.JoinInner, algebra.JoinCross:
-		jt = exec.InnerJoin
+		jt = vexec.InnerJoin
 	case algebra.JoinLeft:
-		jt = exec.LeftJoin
+		jt = vexec.LeftJoin
 	case algebra.JoinRight:
-		jt = exec.RightJoin
+		jt = vexec.RightJoin
 	case algebra.JoinFull:
-		jt = exec.FullJoin
+		jt = vexec.FullJoin
 	}
 
 	// Column provenance: both sides pass through an inner join; the
@@ -898,11 +797,11 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, cond al
 	// above).
 	lc, rc := fragCols(left), fragCols(right)
 	switch jt {
-	case exec.LeftJoin:
+	case vexec.LeftJoin:
 		rc = clearScans(rc)
-	case exec.RightJoin:
+	case vexec.RightJoin:
 		lc = clearScans(lc)
-	case exec.FullJoin:
+	case vexec.FullJoin:
 		lc, rc = clearScans(lc), clearScans(rc)
 	}
 	combined.cols = append(append([]colInfo{}, lc...), rc...)
@@ -931,87 +830,30 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, cond al
 		residual = append(residual, c)
 	}
 
-	combinedBinder := &rowBinder{p: p, layout: combined.layout}
 	if len(leftKeyExprs) > 0 {
 		est := p.hashJoinEstimate(left, right, leftKeyExprs, rightKeyExprs)
-		// Vectorized hash join: inner and left joins whose key (and, for
-		// inner joins, residual) expressions compile for the batch engine.
-		// An inner-join residual becomes a vectorized filter above the
-		// join, which is equivalent; a left join with a residual falls
-		// back, because the residual takes part in the match decision.
-		if p.vectorized && left.vnode != nil && right.vnode != nil &&
-			(jt == exec.InnerJoin || (jt == exec.LeftJoin && len(residual) == 0)) {
-			if vj := p.tryVecHashJoin(left, right, leftKeyExprs, rightKeyExprs, nullSafe, residual, jt, combined, est); vj != nil {
-				p.setVNode(combined, vj)
-				setFragEst(combined, est)
-				return combined, nil
-			}
-		}
-		demote(left)
-		demote(right)
-		leftBinder := &rowBinder{p: p, layout: left.layout}
-		rightBinder := &rowBinder{p: p, layout: shiftedLayout(right.layout, 0)}
-		lk, err := eval.CompileAll(leftKeyExprs, leftBinder)
+		vj, err := p.hashJoin(left, right, leftKeyExprs, rightKeyExprs, nullSafe, residual, jt, combined, est)
 		if err != nil {
 			return nil, err
 		}
-		rk, err := eval.CompileAll(rightKeyExprs, rightBinder)
-		if err != nil {
-			return nil, err
-		}
-		var res eval.Func
-		if len(residual) > 0 {
-			var err error
-			res, err = eval.Compile(algebra.AndAll(residual), combinedBinder)
-			if err != nil {
-				return nil, err
-			}
-		}
-		combined.node = exec.NewHashJoin(left.node, right.node, lk, rk, nullSafe, res, jt, left.kinds, right.kinds)
+		combined.node = vj
 		setFragEst(combined, est)
 		return combined, nil
 	}
 
-	// No equi-keys: nested-loop join. The vectorized variant covers inner
-	// and left joins (the condition takes part in the match decision, so
-	// arbitrary residuals are fine) and assembles pair batches by gather
-	// instead of boxing one row per pair.
-	if p.vectorized && left.vnode != nil && right.vnode != nil &&
-		(jt == exec.InnerJoin || jt == exec.LeftJoin) {
-		var vcond *vexec.Expr
-		condOK := cond == nil
-		if cond != nil {
-			if ve, err := vexec.CompileExpr(cond, combinedBinder); err == nil && ve.Kind() == types.KindBool {
-				vcond, condOK = ve, true
-			}
-		}
-		if condOK {
-			vjt := vexec.InnerJoin
-			if jt == exec.LeftJoin {
-				vjt = vexec.LeftJoin
-			}
-			nlj := vexec.NewNLJoin(left.vnode, right.vnode, vcond, vjt, left.kinds, right.kinds)
-			nlj.SetActivity(p.activity)
-			p.setVNode(combined, nlj)
-			est := left.est * right.est
-			if cond != nil {
-				est = est*0.3 + 1
-			}
-			setFragEst(combined, est)
-			return combined, nil
-		}
-	}
-	demote(left)
-	demote(right)
-	var condFn eval.Func
+	// No equi-keys: nested-loop join. The condition takes part in the
+	// match decision, so arbitrary conditions suit every join type; pair
+	// batches are assembled by gather instead of boxing one row per pair.
+	var vcond *vexec.Expr
 	if cond != nil {
 		var err error
-		condFn, err = eval.Compile(cond, combinedBinder)
-		if err != nil {
+		if vcond, err = compilePred(cond, &rowBinder{p: p, layout: combined.layout}); err != nil {
 			return nil, err
 		}
 	}
-	combined.node = exec.NewNestedLoopJoin(left.node, right.node, condFn, jt, left.kinds, right.kinds)
+	nlj := vexec.NewNLJoin(left.node, right.node, vcond, jt, left.kinds, right.kinds)
+	nlj.SetActivity(p.activity)
+	combined.node = nlj
 	est := left.est * right.est
 	if cond != nil {
 		est = est*0.3 + 1
@@ -1233,36 +1075,39 @@ func constValue(e algebra.Expr) (types.Value, bool) {
 	return algebra.FoldConst(e)
 }
 
-// tryVecHashJoin compiles the hash-join keys (and an inner join's
-// residual) for the batch engine and returns the vectorized join tree,
-// or nil when some expression is not vectorizable. For inner joins it
-// also wires runtime filters: every key whose probe-side expression is a
-// bare column traced to a columnar scan gets a filter published by this
-// join's build and applied by that scan.
-func (p *Planner) tryVecHashJoin(left, right *planned, leftKeyExprs, rightKeyExprs []algebra.Expr,
-	nullSafe []bool, residual []algebra.Expr, jt exec.JoinType, combined *planned, est float64) vexec.Node {
+// hashJoin compiles the hash-join keys and residual and returns the join
+// tree. An inner join's residual becomes a filter above the join; an
+// outer join's takes part in the match decision inside it. For inner
+// joins it also wires runtime filters: every key whose probe-side
+// expression is a bare column traced to a columnar scan gets a filter
+// published by this join's build and applied by that scan. Only inner
+// joins and left joins without a residual can spill, so only they get
+// spill resources.
+func (p *Planner) hashJoin(left, right *planned, leftKeyExprs, rightKeyExprs []algebra.Expr,
+	nullSafe []bool, residual []algebra.Expr, jt vexec.JoinType, combined *planned, est float64) (vexec.Node, error) {
 	lk, err := vexec.CompileExprs(leftKeyExprs, &rowBinder{p: p, layout: left.layout})
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	rk, err := vexec.CompileExprs(rightKeyExprs, &rowBinder{p: p, layout: shiftedLayout(right.layout, 0)})
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var res *vexec.Expr
 	if len(residual) > 0 {
-		res, err = vexec.CompileExpr(algebra.AndAll(residual), &rowBinder{p: p, layout: combined.layout})
-		if err != nil || res.Kind() != types.KindBool {
-			return nil
+		if res, err = compilePred(algebra.AndAll(residual), &rowBinder{p: p, layout: combined.layout}); err != nil {
+			return nil, err
 		}
 	}
-	vjt := vexec.InnerJoin
-	if jt == exec.LeftJoin {
-		vjt = vexec.LeftJoin
-	}
-	vj := vexec.NewHashJoin(left.vnode, right.vnode, lk, rk, nullSafe, vjt, left.kinds, right.kinds)
+	vjt := jt
+	vj := vexec.NewHashJoin(left.node, right.node, lk, rk, nullSafe, vjt, left.kinds, right.kinds)
 	vj.SetActivity(p.activity)
-	vj.Spill = p.spillRes("hashjoin")
+	if vjt != vexec.InnerJoin {
+		vj.Residual, res = res, nil
+	}
+	if vjt == vexec.InnerJoin || (vjt == vexec.LeftJoin && vj.Residual == nil) {
+		vj.Spill = p.spillRes("hashjoin")
+	}
 	if vjt == vexec.InnerJoin && left.cols != nil {
 		// Left-join probe rows must survive to null-extend, so only inner
 		// joins may prune them at the source.
@@ -1298,7 +1143,7 @@ func (p *Planner) tryVecHashJoin(left, right *planned, leftKeyExprs, rightKeyExp
 		vn = vexec.NewFilter(vn, res)
 		setEstNode(vn, est)
 	}
-	return vn
+	return vn, nil
 }
 
 // shiftedLayout returns a copy of a layout rebased to the given start.
@@ -1541,49 +1386,26 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			}
 			return infos
 		}
-		if p.vectorized {
-			if cols, n, ok := t.Heap.SnapshotColumns(kinds); ok {
-				heap := t.Heap
-				scan := vexec.NewColScan(cols, n)
-				scan.Table = rte.RelName
-				scan.SetActivity(p.activity)
-				infos := mkCols()
-				for i := range infos {
-					infos[i].scan, infos[i].scanCol = scan, i
-				}
-				aq := p.activity
-				relName := rte.RelName
-				pl := &planned{
-					layout: map[int]int{rt: 0},
-					kinds:  kinds,
-					cols:   infos,
-					rts:    map[int]bool{rt: true},
-					est:    float64(n) + 1,
-					rowScan: func() exec.Node {
-						rs := exec.NewScan(heap.Snapshot())
-						rs.Table = relName
-						rs.SetActivity(aq)
-						return rs
-					},
-				}
-				p.setVNode(pl, scan)
-				setScanEst(pl, n)
-				return pl, nil
-			}
+		cols, n, ok := t.Heap.SnapshotColumns(kinds)
+		if !ok {
+			return nil, fmt.Errorf("plan: table %q holds values that do not fit its column types", rte.RelName)
 		}
-		rows := t.Heap.Snapshot()
-		rs := exec.NewScan(rows)
-		rs.Table = rte.RelName
-		rs.SetActivity(p.activity)
+		scan := vexec.NewColScan(cols, n)
+		scan.Table = rte.RelName
+		scan.SetActivity(p.activity)
+		infos := mkCols()
+		for i := range infos {
+			infos[i].scan, infos[i].scanCol = scan, i
+		}
 		pl := &planned{
-			node:   rs,
+			node:   scan,
 			layout: map[int]int{rt: 0},
 			kinds:  kinds,
-			cols:   mkCols(),
+			cols:   infos,
 			rts:    map[int]bool{rt: true},
-			est:    float64(len(rows)) + 1,
+			est:    float64(n) + 1,
 		}
-		setScanEst(pl, len(rows))
+		setScanEst(pl, n)
 		return pl, nil
 	case algebra.RTESubquery:
 		sub, err := p.planQuery(rte.Subquery)
@@ -1599,7 +1421,6 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 		}
 		return &planned{
 			node:   sub.node,
-			vnode:  sub.vnode,
 			layout: map[int]int{rt: 0},
 			kinds:  rte.Cols.Kinds(),
 			cols:   infos,
@@ -1625,10 +1446,15 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			}
 			rows = append(rows, row)
 		}
+		kinds := rte.Cols.Kinds()
+		cols, ok := vector.FromRows(rows, kinds)
+		if !ok {
+			return nil, fmt.Errorf("plan: VALUES rows do not fit their column types")
+		}
 		pl := &planned{
-			node:   exec.NewScan(rows),
+			node:   vexec.NewColScan(cols, len(rows)),
 			layout: map[int]int{rt: 0},
-			kinds:  rte.Cols.Kinds(),
+			kinds:  kinds,
 			rts:    map[int]bool{rt: true},
 			est:    float64(len(rows)) + 1,
 		}
@@ -1641,41 +1467,33 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 
 // planVirtual scans a virtual system table: the row generator runs now
 // (planning happens per execution, so every query sees a fresh
-// snapshot), and the rows lower to a columnar scan when the vectorized
-// engine can represent them, a row scan otherwise.
+// snapshot), and the rows pivot into a columnar scan.
 func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable) (*planned, error) {
 	rows := v.Rows()
 	kinds := rte.Cols.Kinds()
+	cols, ok := vector.FromRows(rows, kinds)
+	if !ok {
+		return nil, fmt.Errorf("plan: system table %q rows do not fit its column types", v.Name)
+	}
+	scan := vexec.NewColScan(cols, len(rows))
+	scan.Table = v.Name
+	scan.SetActivity(p.activity)
 	pl := &planned{
+		node:   scan,
 		layout: map[int]int{rt: 0},
 		kinds:  kinds,
 		rts:    map[int]bool{rt: true},
 		est:    float64(len(rows)) + 1,
 	}
-	if p.vectorized {
-		if cols, ok := vector.FromRows(rows, kinds); ok {
-			scan := vexec.NewColScan(cols, len(rows))
-			scan.Table = v.Name
-			scan.SetActivity(p.activity)
-			aq := p.activity
-			pl.rowScan = func() exec.Node {
-				rs := exec.NewScan(rows)
-				rs.Table = v.Name
-				rs.SetActivity(aq)
-				return rs
-			}
-			p.setVNode(pl, scan)
-			setScanEst(pl, len(rows))
-			return pl, nil
-		}
-	}
-	rs := exec.NewScan(rows)
-	rs.Table = v.Name
-	rs.SetActivity(p.activity)
-	pl.node = rs
 	setScanEst(pl, len(rows))
 	return pl, nil
 }
+
+// setScanEst annotates a fresh scan fragment's operator with the
+// snapshot's exact row count. The fragment's bookkeeping estimate stays
+// at n+1 (join ordering and build-side choice are tuned to it); EXPLAIN
+// ANALYZE compares the annotation with the rows actually read.
+func setScanEst(pl *planned, n int) { setEstNode(pl.node, float64(n)) }
 
 // ---------------------------------------------------------------------------
 // Aggregation
@@ -1683,11 +1501,8 @@ func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable)
 // planAggregation builds the HashAgg node plus the post-aggregation
 // HAVING filter and projection. It rewrites target/HAVING/ORDER BY
 // expressions to reference the aggregate output row (groups first, then
-// aggregate results). The aggregation, the HAVING filter and the final
-// projection each stay vectorized as long as their expressions compile
-// for the batch engine; the first unsupported stage drops to the row
-// engine over the vectorized prefix.
-func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64) (exec.Node, vexec.Node, error) {
+// aggregate results).
+func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64) (vexec.Node, error) {
 	// Collect distinct aggregate references from targets, HAVING and
 	// ORDER BY expressions.
 	var aggRefs []*algebra.AggRef
@@ -1711,54 +1526,12 @@ func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64)
 		collect(si.Expr)
 	}
 
-	var node exec.Node
-	var vnode vexec.Node
-	if input.vnode != nil {
-		if vn := p.tryVecAgg(q, input, aggRefs); vn != nil {
-			vnode = vn
-			node = vexec.NewRowSource(vn)
-			setEstNode(vnode, est)
-			setEstNode(node, est)
-		}
+	var node vexec.Node
+	node, err := p.hashAgg(q, input, aggRefs)
+	if err != nil {
+		return nil, err
 	}
-	if node == nil {
-		demote(input)
-		inBinder := &rowBinder{p: p, layout: input.layout}
-		groupFns, err := eval.CompileAll(q.GroupBy, inBinder)
-		if err != nil {
-			return nil, nil, err
-		}
-		specs := make([]exec.AggSpec, len(aggRefs))
-		for i, ar := range aggRefs {
-			spec := exec.AggSpec{Distinct: ar.Distinct, ResultKind: ar.Typ}
-			switch ar.Fn {
-			case algebra.AggCount:
-				if ar.Star {
-					spec.Kind = exec.AggCountStar
-				} else {
-					spec.Kind = exec.AggCount
-				}
-			case algebra.AggSum:
-				spec.Kind = exec.AggSum
-			case algebra.AggAvg:
-				spec.Kind = exec.AggAvg
-			case algebra.AggMin:
-				spec.Kind = exec.AggMin
-			case algebra.AggMax:
-				spec.Kind = exec.AggMax
-			}
-			if ar.Arg != nil {
-				fn, err := eval.Compile(ar.Arg, inBinder)
-				if err != nil {
-					return nil, nil, err
-				}
-				spec.Arg = fn
-			}
-			specs[i] = spec
-		}
-		node = exec.NewHashAgg(input.node, groupFns, specs)
-		setEstNode(node, est)
-	}
+	setEstNode(node, est)
 
 	// Aggregate output layout: group values 0..G-1, aggregates G..G+A-1.
 	mapAgg := func(e algebra.Expr) (algebra.Expr, error) {
@@ -1769,113 +1542,72 @@ func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64)
 	if q.Having != nil {
 		mapped, err := mapAgg(q.Having)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		attached := false
-		if vnode != nil {
-			if ve, verr := vexec.CompileExpr(mapped, &flatBinder{p: p}); verr == nil && ve.Kind() == types.KindBool {
-				vnode = vexec.NewFilter(vnode, ve)
-				node = vexec.NewRowSource(vnode)
-				setEstNode(vnode, est)
-				setEstNode(node, est)
-				attached = true
-			}
+		pred, err := compilePred(mapped, aggBinder)
+		if err != nil {
+			return nil, err
 		}
-		if !attached {
-			pred, err := eval.Compile(mapped, aggBinder)
-			if err != nil {
-				return nil, nil, err
-			}
-			node = exec.NewFilter(node, pred)
-			setEstNode(node, est)
-			vnode = nil
-		}
+		node = vexec.NewFilter(node, pred)
+		setEstNode(node, est)
 	}
 
 	exprs := make([]algebra.Expr, 0, len(q.TargetList))
 	for _, te := range q.TargetList {
 		mapped, err := mapAgg(te.Expr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		exprs = append(exprs, mapped)
 	}
 	for _, se := range p.extraSortExprs(q) {
 		mapped, err := mapAgg(se)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		exprs = append(exprs, mapped)
 	}
-	if vnode != nil {
-		if ves, verr := vexec.CompileExprs(exprs, &flatBinder{p: p}); verr == nil {
-			vnode = vexec.NewProject(vnode, ves)
-			setEstNode(vnode, est)
-			rs := vexec.NewRowSource(vnode)
-			setEstNode(rs, est)
-			return rs, vnode, nil
-		}
-	}
-	fns, err := eval.CompileAll(exprs, aggBinder)
+	ves, err := vexec.CompileExprs(exprs, aggBinder)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	proj := exec.NewProject(node, fns)
-	setEstNode(proj, est)
-	return proj, nil, nil
+	node = vexec.NewProject(node, ves)
+	setEstNode(node, est)
+	return node, nil
 }
 
-// tryVecAgg compiles the aggregation itself for the batch engine:
-// vectorizable group expressions and aggregate arguments, no DISTINCT
-// aggregates, and aggregate kinds the columnar accumulators cover.
-// Returns nil when the row engine must aggregate instead.
-func (p *Planner) tryVecAgg(q *algebra.Query, input *planned, aggRefs []*algebra.AggRef) vexec.Node {
+// hashAgg compiles the aggregation itself: group expressions and
+// aggregate arguments. DISTINCT aggregates keep per-group seen sets the
+// spill path cannot serialize, so an aggregation with one gets no spill
+// resources.
+func (p *Planner) hashAgg(q *algebra.Query, input *planned, aggRefs []*algebra.AggRef) (*vexec.HashAgg, error) {
 	bind := &rowBinder{p: p, layout: input.layout}
 	groups, err := vexec.CompileExprs(q.GroupBy, bind)
 	if err != nil {
-		return nil
+		return nil, err
 	}
+	spillable := true
 	specs := make([]vexec.AggSpec, len(aggRefs))
 	for i, ar := range aggRefs {
-		if ar.Distinct {
-			return nil
-		}
-		spec := vexec.AggSpec{Fn: ar.Fn, Star: ar.Star, ResultKind: ar.Typ}
-		var argKind types.Kind
-		if ar.Arg != nil {
-			arg, err := vexec.CompileExpr(ar.Arg, bind)
-			if err != nil {
-				return nil
-			}
-			spec.Arg = arg
-			argKind = arg.Kind()
-		}
 		switch ar.Fn {
-		case algebra.AggCount:
-			if ar.Typ != types.KindInt {
-				return nil
-			}
-		case algebra.AggSum:
-			if !argKind.Numeric() || (ar.Typ != types.KindInt && ar.Typ != types.KindFloat) {
-				return nil
-			}
-		case algebra.AggAvg:
-			if !argKind.Numeric() || ar.Typ != types.KindFloat {
-				return nil
-			}
-		case algebra.AggMin, algebra.AggMax:
-			ok := argKind == ar.Typ || (argKind.Numeric() && ar.Typ.Numeric())
-			if !ok {
-				return nil
-			}
+		case algebra.AggCount, algebra.AggSum, algebra.AggAvg, algebra.AggMin, algebra.AggMax:
 		default:
-			return nil
+			return nil, fmt.Errorf("plan: unknown aggregate %v", ar.Fn)
 		}
+		spec := vexec.AggSpec{Fn: ar.Fn, Star: ar.Star, Distinct: ar.Distinct, ResultKind: ar.Typ}
+		if ar.Arg != nil {
+			if spec.Arg, err = vexec.CompileExpr(ar.Arg, bind); err != nil {
+				return nil, err
+			}
+		}
+		spillable = spillable && !ar.Distinct
 		specs[i] = spec
 	}
-	agg := vexec.NewHashAgg(input.vnode, groups, specs)
-	agg.Spill = p.spillRes("hashagg")
-	return agg
+	agg := vexec.NewHashAgg(input.node, groups, specs)
+	if spillable {
+		agg.Spill = p.spillRes("hashagg")
+	}
+	return agg, nil
 }
 
 // mapToAggOutput rewrites an expression over the aggregation input into
@@ -2047,7 +1779,7 @@ func NewSubLinkValue(p *Planner, s *algebra.SubLink) (eval.SubLinkValue, error) 
 // subLinkValue materializes an uncorrelated subquery lazily, once, and
 // serves the SQL semantics of scalar/EXISTS/ANY/ALL sublinks.
 type subLinkValue struct {
-	node   exec.Node
+	node   *vexec.RowSource
 	kind   types.Kind
 	loaded bool
 	rows   []types.Row
@@ -2063,7 +1795,7 @@ func (p *Planner) newSubLinkValue(s *algebra.SubLink) (eval.SubLinkValue, error)
 	if len(s.Query.Schema()) > 0 {
 		kind = s.Query.Schema()[0].Type
 	}
-	return &subLinkValue{node: pl.node, kind: kind}, nil
+	return &subLinkValue{node: vexec.NewRowSource(pl.node), kind: kind}, nil
 }
 
 func (s *subLinkValue) load() error {
@@ -2185,39 +1917,28 @@ func spillTag(res spill.Resources) string {
 	return ""
 }
 
-func vecJoinName(t vexec.JoinType) string {
+func joinName(t vexec.JoinType) string {
 	switch t {
 	case vexec.InnerJoin:
 		return "inner"
 	case vexec.LeftJoin:
 		return "left"
-	default:
-		return "?"
-	}
-}
-
-func joinName(t exec.JoinType) string {
-	switch t {
-	case exec.InnerJoin:
-		return "inner"
-	case exec.LeftJoin:
-		return "left"
-	case exec.RightJoin:
+	case vexec.RightJoin:
 		return "right"
-	case exec.FullJoin:
+	case vexec.FullJoin:
 		return "full"
 	default:
 		return "?"
 	}
 }
 
-func setOpName(k exec.SetOpKind) string {
+func setOpName(k vexec.SetOpKind) string {
 	switch k {
-	case exec.Union:
+	case vexec.Union:
 		return "union"
-	case exec.Intersect:
+	case vexec.Intersect:
 		return "intersect"
-	case exec.Except:
+	case vexec.Except:
 		return "except"
 	default:
 		return "?"

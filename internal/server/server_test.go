@@ -166,7 +166,7 @@ func TestSessionsAreIsolated(t *testing.T) {
 		t.Fatal("prepared statement leaked across connections")
 	}
 	// Session options are isolated too, but the data is shared.
-	if err := c1.Set("disable_vectorized", "on"); err != nil {
+	if err := c1.Set("disable_optimizer", "on"); err != nil {
 		t.Fatal(err)
 	}
 	if _, n, err := c1.Exec(`INSERT INTO shop VALUES ('Shared', 2)`); err != nil || n != 1 {

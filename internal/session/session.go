@@ -239,7 +239,7 @@ func (s *Session) Close() {
 
 // SetOption changes one session option. Boolean options (value on/off,
 // true/false, 1/0): flatten_setops, disable_optimizer,
-// disable_vectorized, disable_query_cache. memory_limit takes a byte
+// disable_query_cache. memory_limit takes a byte
 // size ("64MiB", "4000000") bounding this session's materializing
 // operators — exhausted budgets spill to disk; "off"/"unlimited" lifts
 // the session limit and "0" restores the limit the server configured
@@ -346,12 +346,10 @@ func (s *Session) SetOption(name, value string) error {
 			opts.FlattenSetOps = on
 		case "disable_optimizer":
 			opts.DisableOptimizer = on
-		case "disable_vectorized":
-			opts.DisableVectorized = on
 		case "disable_query_cache":
 			opts.DisableQueryCache = on
 		default:
-			return fmt.Errorf("unknown option %q (have flatten_setops, disable_optimizer, disable_vectorized, disable_query_cache, memory_limit, parallelism, trace_sample)", name)
+			return fmt.Errorf("unknown option %q (have flatten_setops, disable_optimizer, disable_query_cache, memory_limit, parallelism, trace_sample)", name)
 		}
 	}
 	return s.commitOptions(opts)

@@ -126,10 +126,10 @@ func TestSetOption(t *testing.T) {
 	if err := s.Prepare("q", `SELECT PROVENANCE name FROM shop`); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetOption("disable_vectorized", "on"); err != nil {
+	if err := s.SetOption("disable_optimizer", "on"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.DB().Opts().DisableVectorized {
+	if !s.DB().Opts().DisableOptimizer {
 		t.Fatal("option did not stick")
 	}
 	// Prepared statements keep working (re-prepared under new options).
@@ -194,7 +194,7 @@ func TestSetOptionConcurrentPrepare(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if err := s.SetOption("disable_vectorized", []string{"on", "off"}[i%2]); err != nil {
+			if err := s.SetOption("disable_optimizer", []string{"on", "off"}[i%2]); err != nil {
 				t.Error(err)
 				return
 			}
@@ -254,7 +254,7 @@ func TestRunDialect(t *testing.T) {
 	if len(out.Result.Rows) != 1 || out.Result.NumProvColumns() != 2 {
 		t.Fatalf("EXECUTE result wrong:\n%s", out.Result)
 	}
-	out, err = s.Run(`SET disable_vectorized = on`)
+	out, err = s.Run(`SET disable_optimizer = on`)
 	if err != nil || out.Tag != "SET" {
 		t.Fatalf("SET: %v %v", out, err)
 	}

@@ -1,8 +1,7 @@
 // Package spill implements the temporary-file substrate of the Perm
 // engine's spill-to-disk execution paths: sequential "runs" of encoded
-// column batches (reusing the internal/vector layouts) for the
-// vectorized operators, and a row codec for the row engine's external
-// sort.
+// column batches (reusing the internal/vector layouts) for the batch
+// operators.
 //
 // Temp-file hygiene: every run is created with os.CreateTemp under a
 // configurable directory and unlinked immediately after creation, so
@@ -259,7 +258,7 @@ func (r *Run) WriteCols(cols []*vector.Vec, n int) error {
 					r.buf = append(r.buf, 0)
 				}
 			}
-		case types.KindInt, types.KindDate:
+		case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 			for i := 0; i < n; i++ {
 				r.u64(uint64(c.I[i]))
 			}
@@ -329,7 +328,7 @@ func (r *Run) ReadCols() ([]*vector.Vec, int, error) {
 				}
 				v.B[i] = b != 0
 			}
-		case types.KindInt, types.KindDate:
+		case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 			for i := 0; i < n; i++ {
 				if _, err := io.ReadFull(r.t.r, kb[:8]); err != nil {
 					return nil, 0, err
@@ -365,132 +364,6 @@ func (r *Run) ReadCols() ([]*vector.Vec, int, error) {
 
 // Close releases the run's file (the storage was unlinked at creation).
 func (r *Run) Close() error {
-	if r == nil {
-		return nil
-	}
-	return r.t.close()
-}
-
-// ---------------------------------------------------------------------------
-// Row run codec (row engine's external sort)
-//
-// Each row is encoded as u16 ncols, then per value u8 kind, u8 null and
-// the payload for non-NULL values. Interval values ride in I like every
-// other kind the row engine stores there.
-
-// RowRun is one spill run of encoded rows.
-type RowRun struct {
-	t    *tempFile
-	rows int64
-	buf  []byte
-}
-
-// NewRowRun creates a row run file under dir.
-func NewRowRun(dir string) (*RowRun, error) {
-	t, err := newTempFile(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &RowRun{t: t}, nil
-}
-
-// Rows returns the number of rows written so far.
-func (r *RowRun) Rows() int64 { return r.rows }
-
-// Bytes returns the encoded size written so far.
-func (r *RowRun) Bytes() int64 { return r.t.bytes }
-
-// WriteRow appends one row.
-func (r *RowRun) WriteRow(row types.Row) error {
-	r.rows++
-	r.buf = binary.LittleEndian.AppendUint16(r.buf[:0], uint16(len(row)))
-	for _, v := range row {
-		r.buf = append(r.buf, byte(v.K))
-		if v.Null {
-			r.buf = append(r.buf, 1)
-			continue
-		}
-		r.buf = append(r.buf, 0)
-		switch v.K {
-		case types.KindBool:
-			if v.B {
-				r.buf = append(r.buf, 1)
-			} else {
-				r.buf = append(r.buf, 0)
-			}
-		case types.KindFloat:
-			r.buf = binary.LittleEndian.AppendUint64(r.buf, math64(v.F))
-		case types.KindString:
-			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(len(v.S)))
-			r.buf = append(r.buf, v.S...)
-		default: // int, date, interval, untyped nulls carry I
-			r.buf = binary.LittleEndian.AppendUint64(r.buf, uint64(v.I))
-		}
-	}
-	return r.t.write(r.buf)
-}
-
-// Finish flushes the run and prepares it for reading.
-func (r *RowRun) Finish() error { return r.t.finish() }
-
-// ReadRow reads the next row; it returns (nil, nil) at the end.
-func (r *RowRun) ReadRow() (types.Row, error) {
-	if err := fault.Failure(fault.PointSpillRead); err != nil {
-		return nil, fmt.Errorf("spill: read: %w", err)
-	}
-	var b [8]byte
-	if _, err := io.ReadFull(r.t.r, b[:2]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, err
-	}
-	ncols := int(binary.LittleEndian.Uint16(b[:2]))
-	row := make(types.Row, ncols)
-	for i := 0; i < ncols; i++ {
-		if _, err := io.ReadFull(r.t.r, b[:2]); err != nil {
-			return nil, err
-		}
-		v := types.Value{K: types.Kind(b[0])}
-		if b[1] != 0 {
-			v.Null = true
-			row[i] = v
-			continue
-		}
-		switch v.K {
-		case types.KindBool:
-			c, err := r.t.r.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			v.B = c != 0
-		case types.KindFloat:
-			if _, err := io.ReadFull(r.t.r, b[:8]); err != nil {
-				return nil, err
-			}
-			v.F = unmath64(binary.LittleEndian.Uint64(b[:8]))
-		case types.KindString:
-			if _, err := io.ReadFull(r.t.r, b[:4]); err != nil {
-				return nil, err
-			}
-			sb := make([]byte, binary.LittleEndian.Uint32(b[:4]))
-			if _, err := io.ReadFull(r.t.r, sb); err != nil {
-				return nil, err
-			}
-			v.S = string(sb)
-		default:
-			if _, err := io.ReadFull(r.t.r, b[:8]); err != nil {
-				return nil, err
-			}
-			v.I = int64(binary.LittleEndian.Uint64(b[:8]))
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
-// Close releases the run's file.
-func (r *RowRun) Close() error {
 	if r == nil {
 		return nil
 	}

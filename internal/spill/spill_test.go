@@ -77,42 +77,34 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRowRunRoundTrip(t *testing.T) {
-	run, err := NewRowRun(t.TempDir())
+// TestRunIntervalAndNullColumns: interval columns and untyped-NULL
+// columns ride in the I payload and round-trip like any other kind.
+func TestRunIntervalAndNullColumns(t *testing.T) {
+	run, err := NewRun(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer run.Close()
-	rows := []types.Row{
-		{types.NewInt(1), types.NewString("hello"), types.NewBool(true)},
-		{types.NewNull(types.KindInt), types.NewString(""), types.NewFloat(-2.5)},
-		{types.NewDate(12345), types.NewInterval(2, 10), types.NullValue},
-		{},
-	}
-	for _, r := range rows {
-		if err := run.WriteRow(r); err != nil {
-			t.Fatal(err)
-		}
+	iv := vector.NewVec(types.KindInterval, 2)
+	iv.Set(0, types.NewInterval(2, 10))
+	iv.SetNull(1)
+	cols := []*vector.Vec{iv, vector.NewVec(types.KindNull, 2)}
+	if err := run.WriteCols(cols, 2); err != nil {
+		t.Fatal(err)
 	}
 	if err := run.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	for ri, want := range rows {
-		got, err := run.ReadRow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("row %d: %d cols, want %d", ri, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("row %d col %d: %#v != %#v", ri, i, got[i], want[i])
+	got, n, err := run.ReadCols()
+	if err != nil || n != 2 {
+		t.Fatalf("read: n=%d err=%v", n, err)
+	}
+	for c := range cols {
+		for i := 0; i < 2; i++ {
+			if a, b := got[c].Value(i), cols[c].Value(i); a != b {
+				t.Fatalf("col %d row %d: %#v != %#v", c, i, a, b)
 			}
 		}
-	}
-	if got, err := run.ReadRow(); err != nil || got != nil {
-		t.Fatalf("expected clean EOF, got %v err=%v", got, err)
 	}
 }
 

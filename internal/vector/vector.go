@@ -53,11 +53,13 @@ func (b Bitmap) AnySet(n int) bool {
 	return false
 }
 
-// Supported reports whether a column of kind k can be stored in a Vec.
-// Interval columns and untyped-NULL columns stay on the row engine.
+// Supported reports whether a column of kind k can be stored in a Vec:
+// every kind the engine knows, including untyped NULL (an all-NULL
+// vector) and interval.
 func Supported(k types.Kind) bool {
 	switch k {
-	case types.KindBool, types.KindInt, types.KindFloat, types.KindString, types.KindDate:
+	case types.KindBool, types.KindInt, types.KindFloat, types.KindString, types.KindDate,
+		types.KindNull, types.KindInterval:
 		return true
 	default:
 		return false
@@ -66,8 +68,9 @@ func Supported(k types.Kind) bool {
 
 // Vec is a typed column vector. Exactly one payload slice (selected by
 // Kind) is populated; Nulls marks NULL rows (payload at null positions is
-// unspecified). Date values live in I as days since the epoch, exactly
-// like types.Value.
+// unspecified). Date and interval values live in I exactly like
+// types.Value (days since the epoch; months<<32|days). An untyped-NULL
+// vector carries an I payload it never reads: every row is NULL.
 type Vec struct {
 	Kind  types.Kind
 	Nulls Bitmap
@@ -89,12 +92,17 @@ func NewVec(k types.Kind, n int) *Vec {
 	switch k {
 	case types.KindBool:
 		v.B = make([]bool, n)
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		v.I = make([]int64, n)
 	case types.KindFloat:
 		v.F = make([]float64, n)
 	case types.KindString:
 		v.S = make([]string, n)
+	}
+	if k == types.KindNull {
+		for w := range v.Nulls {
+			v.Nulls[w] = ^uint64(0)
+		}
 	}
 	return v
 }
@@ -111,12 +119,14 @@ func NewVec(k types.Kind, n int) *Vec {
 // columns, windows, accumulators, constant caches) are allocated with
 // NewVec and are never pooled.
 
-// poolClass maps a kind to its payload pool (int and date share I).
+// poolClass maps a kind to its payload pool (int, date and interval
+// share I). All-NULL vectors are not pooled: a pooled vector starts
+// non-NULL.
 func poolClass(k types.Kind) int {
 	switch k {
 	case types.KindBool:
 		return 0
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval:
 		return 1
 	case types.KindFloat:
 		return 2
@@ -194,7 +204,7 @@ func (v *Vec) Len() int {
 	switch v.Kind {
 	case types.KindBool:
 		return len(v.B)
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		return len(v.I)
 	case types.KindFloat:
 		return len(v.F)
@@ -222,7 +232,7 @@ func (v *Vec) Set(i int, val types.Value) {
 	switch v.Kind {
 	case types.KindBool:
 		v.B[i] = val.B
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		if val.K == types.KindFloat {
 			v.I[i] = int64(val.F)
 		} else {
@@ -247,6 +257,8 @@ func (v *Vec) Value(i int) types.Value {
 		return types.NewInt(v.I[i])
 	case types.KindDate:
 		return types.NewDate(v.I[i])
+	case types.KindInterval:
+		return types.Value{K: types.KindInterval, I: v.I[i]}
 	case types.KindFloat:
 		return types.NewFloat(v.F[i])
 	case types.KindString:
@@ -264,7 +276,7 @@ func (v *Vec) AppendFrom(src *Vec, i int) {
 	switch v.Kind {
 	case types.KindBool:
 		v.B = append(v.B, src.B[i])
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		v.I = append(v.I, src.I[i])
 	case types.KindFloat:
 		v.F = append(v.F, src.F[i])
@@ -292,7 +304,7 @@ func (v *Vec) AppendLanes(src *Vec, lanes []int) {
 		for _, i := range lanes {
 			v.B = append(v.B, src.B[i])
 		}
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		for _, i := range lanes {
 			v.I = append(v.I, src.I[i])
 		}
@@ -328,7 +340,7 @@ func (v *Vec) CopyLanes(at int, src *Vec, lanes []int) {
 		for o, i := range lanes {
 			v.B[at+o] = src.B[i]
 		}
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		for o, i := range lanes {
 			v.I[at+o] = src.I[i]
 		}
@@ -371,7 +383,7 @@ func gatherInto(out *Vec, src *Vec, idx []int32, k types.Kind) *Vec {
 		switch k {
 		case types.KindBool:
 			out.B[o] = src.B[i]
-		case types.KindInt, types.KindDate:
+		case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 			out.I[o] = src.I[i]
 		case types.KindFloat:
 			out.F[o] = src.F[i]
@@ -410,7 +422,7 @@ func (v *Vec) WindowInto(lo, hi int, w *Vec) {
 	switch v.Kind {
 	case types.KindBool:
 		w.B = v.B[lo:hi]
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		w.I = v.I[lo:hi]
 	case types.KindFloat:
 		w.F = v.F[lo:hi]
@@ -421,7 +433,7 @@ func (v *Vec) WindowInto(lo, hi int, w *Vec) {
 
 // FromRows pivots rows into column vectors of the given kinds. It
 // returns ok=false when some non-NULL value does not fit its declared
-// column kind (the caller then falls back to row execution).
+// column kind (the caller reports the mismatch).
 func FromRows(rows []types.Row, kinds []types.Kind) (cols []*Vec, ok bool) {
 	cols = make([]*Vec, len(kinds))
 	for j, k := range kinds {

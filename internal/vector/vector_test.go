@@ -85,9 +85,18 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	if _, ok := FromRows(bad, kinds); ok {
 		t.Fatal("FromRows must reject a string in an int column")
 	}
-	// Unsupported column kinds reject the pivot.
-	if _, ok := FromRows(nil, []types.Kind{types.KindInterval}); ok {
-		t.Fatal("FromRows must reject interval columns")
+	// Interval and untyped-NULL columns pivot too; the latter stay NULL.
+	iv := types.NewInterval(1, 2)
+	cols, ok = FromRows([]types.Row{{iv, types.NullValue}, {types.NewNull(types.KindInterval), types.NullValue}},
+		[]types.Kind{types.KindInterval, types.KindNull})
+	if !ok {
+		t.Fatal("FromRows must accept interval and untyped-NULL columns")
+	}
+	if got := cols[0].Value(0); types.Distinct(got, iv) || !cols[0].IsNull(1) {
+		t.Fatalf("interval column round trip: %v, %v", got, cols[0].Value(1))
+	}
+	if !cols[1].IsNull(0) || !cols[1].IsNull(1) || !NewVec(types.KindNull, 3).IsNull(2) {
+		t.Fatal("untyped-NULL vectors must be all NULL")
 	}
 }
 

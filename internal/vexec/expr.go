@@ -1,9 +1,11 @@
-// Vectorized expression compilation. The compiler covers the common
-// arithmetic/comparison/boolean shapes the provenance-rewritten workloads
-// consist of, plus uncorrelated scalar/EXISTS sublinks (evaluated once
-// and broadcast); anything else (CASE, casts, function calls, quantified
-// sublinks, interval arithmetic, untyped NULLs) returns an error and the
-// planner falls back to the row engine for that plan subtree.
+// Vectorized expression compilation. Native kernels cover the
+// arithmetic/comparison/boolean shapes the provenance-rewritten
+// workloads consist of, plus uncorrelated scalar/EXISTS sublinks
+// (evaluated once and broadcast). Every other shape — CASE, casts,
+// function calls (EXTRACT included), quantified sublinks, interval
+// arithmetic — compiles to the fallback kernel, which runs the row
+// evaluator's closure (eval.Compile) over the selected lanes, so every
+// expression the analyzer accepts has a batch form.
 //
 // Result-vector ownership: kernels allocate their outputs from the shared
 // batch-buffer pool (vector.NewBatchVec) and free the intermediates they
@@ -50,7 +52,9 @@ func (e *Expr) FreeResult(v *vector.Vec) {
 	}
 }
 
-var errUnsupported = fmt.Errorf("vexec: expression shape not vectorizable")
+// errUnsupported makes a native compiler give way to the fallback
+// kernel.
+var errUnsupported = fmt.Errorf("vexec: no native kernel")
 
 // identitySel is the shared all-rows selection 0..BatchSize-1 (read-only).
 var identitySel = func() []int {
@@ -70,11 +74,20 @@ func resolveSel(b *vector.Batch, sel []int) []int {
 	return identitySel[:b.N]
 }
 
-// CompileExpr compiles an analyzed expression for vectorized evaluation.
-// An error means the shape is not supported and the caller must stay on
-// the row engine. The binder resolves column references to flat batch
-// positions and sublinks to their (lazily materialized) subplans.
+// CompileExpr compiles an analyzed expression for vectorized evaluation:
+// a native kernel where one exists, the fallback kernel otherwise. An
+// error comes only from binding. The binder resolves column references
+// to flat batch positions and sublinks to their (lazily materialized)
+// subplans.
 func CompileExpr(e algebra.Expr, bind eval.Binder) (*Expr, error) {
+	c, err := compileNative(e, bind)
+	if err == errUnsupported {
+		return compileFallback(e, bind)
+	}
+	return c, err
+}
+
+func compileNative(e algebra.Expr, bind eval.Binder) (*Expr, error) {
 	switch n := e.(type) {
 	case *algebra.Var:
 		return compileVar(n, bind)
@@ -109,29 +122,118 @@ func CompileExprs(es []algebra.Expr, bind eval.Binder) ([]*Expr, error) {
 	return out, nil
 }
 
-func compileVar(n *algebra.Var, bind eval.Binder) (*Expr, error) {
-	if !vector.Supported(n.Typ) {
-		return nil, errUnsupported
+// recordingBinder notes the batch positions an expression reads, so the
+// fallback kernel boxes only those columns.
+type recordingBinder struct {
+	eval.Binder
+	cols []int
+}
+
+func (r *recordingBinder) BindVar(v *algebra.Var) (int, error) {
+	pos, err := r.Binder.BindVar(v)
+	if err == nil {
+		r.cols = append(r.cols, pos)
 	}
-	pos, err := bind.BindVar(n)
+	return pos, err
+}
+
+// compileFallback is the per-lane kernel: it boxes the referenced columns
+// of each selected lane into a row and runs the row evaluator's closure,
+// so its results, errors and short-circuiting are the evaluator's own.
+func compileFallback(e algebra.Expr, bind eval.Binder) (*Expr, error) {
+	rb := &recordingBinder{Binder: bind}
+	f, err := eval.Compile(e, rb)
 	if err != nil {
 		return nil, err
 	}
-	kind := n.Typ
+	kind := algebra.TypeOf(e)
+	width := 0
+	for _, c := range rb.cols {
+		if c >= width {
+			width = c + 1
+		}
+	}
+	cols := rb.cols
+	ctx := eval.Ctx{Row: make(types.Row, width)}
+	fn := func(b *vector.Batch, sel []int) (*vector.Vec, error) {
+		sel = resolveSel(b, sel)
+		for _, c := range cols {
+			if c >= len(b.Cols) {
+				return nil, fmt.Errorf("vexec: batch too narrow (%d <= %d)", len(b.Cols), c)
+			}
+		}
+		out := vector.NewBatchVec(kind, b.N)
+		for _, i := range sel {
+			for _, c := range cols {
+				ctx.Row[c] = b.Cols[c].Value(i)
+			}
+			v, err := f(&ctx)
+			if err != nil {
+				out.Free()
+				return nil, err
+			}
+			if !v.Null && v.K != kind && !(v.K == types.KindInt && kind == types.KindFloat) {
+				out.Free()
+				return nil, fmt.Errorf("vexec: %s value where %s was expected", v.K, kind)
+			}
+			out.Set(i, v)
+		}
+		return out, nil
+	}
+	return &Expr{fn: fn, kind: kind}, nil
+}
+
+// Coerce converts an expression's results to kind k lane by lane with
+// types.Coerce (int to float, untyped NULL to a typed NULL), the
+// conversion set operations and predicates need when the static kinds of
+// their inputs differ. It returns e itself when the kinds already agree.
+func Coerce(e *Expr, k types.Kind) *Expr {
+	if e.kind == k {
+		return e
+	}
+	fn := func(b *vector.Batch, sel []int) (*vector.Vec, error) {
+		sel = resolveSel(b, sel)
+		in, err := e.fn(b, sel)
+		if err != nil {
+			return nil, err
+		}
+		out := vector.NewBatchVec(k, b.N)
+		for _, i := range sel {
+			v, err := types.Coerce(in.Value(i), k)
+			if err != nil {
+				out.Free()
+				e.FreeResult(in)
+				return nil, err
+			}
+			out.Set(i, v)
+		}
+		e.FreeResult(in)
+		return out, nil
+	}
+	return &Expr{fn: fn, kind: k}
+}
+
+// ColumnRef compiles a reference to batch column pos of kind k.
+func ColumnRef(pos int, k types.Kind) *Expr {
 	fn := func(b *vector.Batch, sel []int) (*vector.Vec, error) {
 		if pos >= len(b.Cols) {
 			return nil, fmt.Errorf("vexec: batch too narrow (%d <= %d)", len(b.Cols), pos)
 		}
 		return b.Cols[pos], nil
 	}
-	return &Expr{fn: fn, kind: kind, aliasing: true}, nil
+	return &Expr{fn: fn, kind: k, aliasing: true}
+}
+
+func compileVar(n *algebra.Var, bind eval.Binder) (*Expr, error) {
+	pos, err := bind.BindVar(n)
+	if err != nil {
+		return nil, err
+	}
+	return ColumnRef(pos, n.Typ), nil
 }
 
 func compileConst(n *algebra.Const) (*Expr, error) {
 	val := n.Val
-	if !vector.Supported(val.K) {
-		return nil, errUnsupported
-	}
 	var cache *vector.Vec
 	fn := func(b *vector.Batch, sel []int) (*vector.Vec, error) {
 		if cache == nil || cache.Len() < b.N {
@@ -143,20 +245,16 @@ func compileConst(n *algebra.Const) (*Expr, error) {
 }
 
 // compileSubLink vectorizes uncorrelated scalar and EXISTS sublinks: the
-// subplan is materialized once (lazily, by the row engine's sublink
-// runtime) and the resulting value broadcast to a cached vector, so
-// provenance queries whose only non-columnar expression is an
-// uncorrelated sublink (TPC-H Q15's max-revenue filter) stay on the
-// batch engine. Quantified (ANY/ALL) sublinks fall back.
+// subplan is materialized once (lazily, by the planner's sublink
+// runtime) and the resulting value broadcast to a cached vector.
+// Quantified (ANY/ALL) sublinks compare per lane and take the fallback
+// kernel.
 func compileSubLink(n *algebra.SubLink, bind eval.Binder) (*Expr, error) {
 	kind := n.Typ
 	if n.Kind == algebra.SubExists {
 		kind = types.KindBool
 	}
 	if n.Kind != algebra.SubScalar && n.Kind != algebra.SubExists {
-		return nil, errUnsupported
-	}
-	if !vector.Supported(kind) {
 		return nil, errUnsupported
 	}
 	slv, err := bind.BindSubLink(n)
@@ -203,7 +301,7 @@ func broadcast(val types.Value, kind types.Kind, n int) *vector.Vec {
 		for i := range v.B {
 			v.B[i] = val.B
 		}
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		iv := val.I
 		if val.K == types.KindFloat {
 			iv = int64(val.F)
@@ -289,6 +387,7 @@ const (
 	classFloat          // numeric pair with at least one float
 	classString
 	classBool
+	classInterval // both interval (compare approximate days, like types.Compare)
 )
 
 func classify(a, b types.Kind) cmpClass {
@@ -302,6 +401,8 @@ func classify(a, b types.Kind) cmpClass {
 		return classString
 	case a == types.KindBool && b == types.KindBool:
 		return classBool
+	case a == types.KindInterval && b == types.KindInterval:
+		return classInterval
 	default:
 		return classNone
 	}
@@ -330,6 +431,8 @@ func laneCompare(class cmpClass, l *vector.Vec, li int, r *vector.Vec, ri int) i
 		return 0
 	case classString:
 		return strings.Compare(l.S[li], r.S[ri])
+	case classInterval:
+		return cmpI(intervalDays(l.I[li]), intervalDays(r.I[ri]))
 	default: // classBool
 		a, b := l.B[li], r.B[ri]
 		switch {
@@ -343,7 +446,7 @@ func laneCompare(class cmpClass, l *vector.Vec, li int, r *vector.Vec, ri int) i
 }
 
 func compileBinOp(n *algebra.BinOp, bind eval.Binder) (*Expr, error) {
-	if v, ok := algebra.FoldConst(n); ok && vector.Supported(v.K) && v.K == n.Typ {
+	if v, ok := algebra.FoldConst(n); ok && v.K == n.Typ {
 		return compileConst(&algebra.Const{Val: v})
 	}
 	switch n.Op {
@@ -420,6 +523,13 @@ func compileCompare(n *algebra.BinOp, l, r *Expr) (*Expr, error) {
 		return out, nil
 	}
 	return &Expr{fn: fn, kind: types.KindBool}, nil
+}
+
+// intervalDays is an interval payload's ordering key: months count as
+// 30 days, as in types.Compare.
+func intervalDays(payload int64) int64 {
+	mo, dy := types.Value{K: types.KindInterval, I: payload}.IntervalParts()
+	return int64(mo)*30 + int64(dy)
 }
 
 func cmpI(a, b int64) int {
@@ -564,7 +674,7 @@ func compileArith(n *algebra.BinOp, l, r *Expr) (*Expr, error) {
 	return nil, errUnsupported
 }
 
-// compileLogic implements three-valued AND/OR with the row engine's
+// compileLogic implements three-valued AND/OR with the row evaluator's
 // short-circuit behaviour: the right operand is only evaluated on lanes
 // the left operand does not already decide (so e.g. a division guarded
 // by an AND never runs on the guarded-out lanes).
@@ -636,7 +746,7 @@ func compileLogic(n *algebra.BinOp, bind eval.Binder) (*Expr, error) {
 }
 
 func compileUnOp(n *algebra.UnOp, bind eval.Binder) (*Expr, error) {
-	if v, ok := algebra.FoldConst(n); ok && vector.Supported(v.K) && v.K == n.Typ {
+	if v, ok := algebra.FoldConst(n); ok && v.K == n.Typ {
 		return compileConst(&algebra.Const{Val: v})
 	}
 	inner, err := CompileExpr(n.Expr, bind)
@@ -807,6 +917,9 @@ func hashLane(h uint64, v *vector.Vec, i int) uint64 {
 	case types.KindDate:
 		h = (h ^ 4) * fnvPrime64
 		h = (h ^ uint64(v.I[i])) * fnvPrime64
+	case types.KindInterval:
+		h = (h ^ 5) * fnvPrime64
+		h = (h ^ uint64(intervalDays(v.I[i]))) * fnvPrime64
 	default:
 		h = (h ^ 0xfe) * fnvPrime64
 	}

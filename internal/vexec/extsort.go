@@ -9,7 +9,6 @@ package vexec
 import (
 	"sort"
 
-	"perm/internal/exec"
 	"perm/internal/spill"
 	"perm/internal/types"
 	"perm/internal/vector"
@@ -56,7 +55,7 @@ func colKinds(cols []*vector.Vec) []types.Kind {
 // sortedOrder computes the stable sort permutation of n accumulated rows
 // under the sort keys (the in-memory VecSort comparator, shared with the
 // run writer).
-func sortedOrder(cols []*vector.Vec, n int, keys []exec.SortKey, classes []cmpClass) []int32 {
+func sortedOrder(cols []*vector.Vec, n int, keys []SortKey, classes []cmpClass) []int32 {
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
@@ -147,13 +146,13 @@ func (c *runCursor) advance() (bool, error) {
 // segments, so this reproduces the stable in-memory order exactly.
 type runMerger struct {
 	cursors []*runCursor
-	keys    []exec.SortKey
+	keys    []SortKey
 	classes []cmpClass
 	kinds   []types.Kind
 	heap    []int // heap of cursor indices, least row on top
 }
 
-func newRunMerger(runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) (*runMerger, error) {
+func newRunMerger(runs []*spill.Run, keys []SortKey, classes []cmpClass, kinds []types.Kind) (*runMerger, error) {
 	m := &runMerger{keys: keys, classes: classes, kinds: kinds}
 	for _, r := range runs {
 		cur := &runCursor{run: r}
@@ -218,7 +217,7 @@ func (m *runMerger) next() (*vector.Batch, error) {
 
 // mergePass merges the given runs into one new run (an intermediate pass
 // of the multi-pass external sort) and closes the inputs.
-func mergePass(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) (*spill.Run, error) {
+func mergePass(res spill.Resources, runs []*spill.Run, keys []SortKey, classes []cmpClass, kinds []types.Kind) (*spill.Run, error) {
 	m, err := newRunMerger(runs, keys, classes, kinds)
 	if err != nil {
 		return nil, err
@@ -255,7 +254,7 @@ func mergePass(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, clas
 // reduceRuns applies intermediate merge passes until at most mergeFanIn
 // runs remain. The earliest runs merge first and the merged run takes
 // their position, preserving the segment order the tie-break relies on.
-func reduceRuns(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) ([]*spill.Run, error) {
+func reduceRuns(res spill.Resources, runs []*spill.Run, keys []SortKey, classes []cmpClass, kinds []types.Kind) ([]*spill.Run, error) {
 	for len(runs) > mergeFanIn {
 		merged, err := mergePass(res, runs[:mergeFanIn], keys, classes, kinds)
 		if err != nil {

@@ -1,6 +1,7 @@
-// Vectorized nested-loop join: the fallback join for conditions without
+// Vectorized nested-loop join: the join for conditions without
 // extractable equi-keys (cross joins, theta joins, and the cross-shaped
-// outer joins the provenance rewriter emits for sublink provenance).
+// outer joins the provenance rewriter emits for sublink provenance), in
+// every flavour: inner, left, right and full.
 // The right side is materialized into columns once; probe batches then
 // pair with it in batch-sized chunks assembled by gather, so no boxed
 // row is ever built — on provenance-rewritten queries whose output is a
@@ -14,11 +15,12 @@ import (
 	"perm/internal/vector"
 )
 
-// NLJoin is a vectorized nested-loop join (inner or left outer; right
-// and full stay on the row engine). Cond, when non-nil, is evaluated
-// over the concatenated pair batch and participates in the match
-// decision, so left joins with arbitrary residual conditions are
-// supported.
+// NLJoin is a vectorized nested-loop join. Cond, when non-nil, is
+// evaluated over the concatenated pair batch and participates in the
+// match decision, so outer joins with arbitrary conditions are
+// supported. Right and full joins track a matched bit per right row and
+// emit the unmatched right rows, in input order, after the left side is
+// exhausted.
 type NLJoin struct {
 	obs.Card
 	Left, Right Node
@@ -34,6 +36,10 @@ type NLJoin struct {
 	li, ri   int   // pair cursor into lanes × build rows
 	matched  []bool
 	flushed  bool // null-extension for curBatch emitted
+
+	rmatched []bool  // right/full joins: right rows that found a partner
+	tail     []int32 // right/full joins: unmatched right rows still to emit
+	tailDone bool
 
 	pairL, pairR []int32
 	selBuf       []int
@@ -76,6 +82,11 @@ func (j *NLJoin) Open() error {
 	}
 	j.curBatch = nil
 	j.flushed = true
+	j.tail, j.tailDone = j.tail[:0], false
+	j.rmatched = nil
+	if j.Type.preservesRight() {
+		j.rmatched = make([]bool, j.build.n)
+	}
 	return j.Left.Open()
 }
 
@@ -90,6 +101,9 @@ func (j *NLJoin) Next() (*vector.Batch, error) {
 		return nil, err
 	}
 	for {
+		if j.tailDone {
+			return j.tailChunk(), nil
+		}
 		if j.curBatch != nil {
 			b, err := j.pairChunk()
 			if err != nil {
@@ -104,13 +118,23 @@ func (j *NLJoin) Next() (*vector.Batch, error) {
 			return nil, err
 		}
 		if b == nil {
-			return nil, nil
+			if !j.Type.preservesRight() {
+				return nil, nil
+			}
+			j.tailDone = true
+			for r, m := range j.rmatched {
+				if !m {
+					j.tail = append(j.tail, int32(r))
+				}
+			}
+			j.curBatch = emptyBatch(j.LeftKinds)
+			continue
 		}
 		j.curBatch = b
 		j.lanes = resolveSel(b, b.Sel)
 		j.li, j.ri = 0, 0
 		j.flushed = false
-		if j.Type == LeftJoin {
+		if j.Type.preservesLeft() {
 			if cap(j.matched) < len(j.lanes) {
 				j.matched = make([]bool, len(j.lanes))
 			} else {
@@ -165,13 +189,8 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 			}
 			j.Cond.FreeResult(pv)
 			j.selBuf = sel
-			if j.Type == LeftJoin {
-				// Map surviving pairs back to their probe lanes. The
-				// chunk covers a contiguous run of (lane, build) pairs;
-				// recover the lane index from the chunk position.
-				for _, i := range sel {
-					j.markMatched(j.pairL[i])
-				}
+			for _, i := range sel {
+				j.markMatched(j.pairL[i], j.pairR[i])
 			}
 			if len(sel) == 0 {
 				continue
@@ -181,15 +200,13 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 			}
 			return out, nil
 		}
-		if j.Type == LeftJoin {
-			for _, l := range j.pairL {
-				j.markMatched(l)
-			}
+		for i := range j.pairL {
+			j.markMatched(j.pairL[i], j.pairR[i])
 		}
 		return out, nil
 	}
-	// Pairs exhausted: emit null-extended unmatched lanes (left join).
-	if j.Type == LeftJoin && !j.flushed {
+	// Pairs exhausted: emit null-extended unmatched lanes (left/full join).
+	if j.Type.preservesLeft() && !j.flushed {
 		j.flushed = true
 		j.pairL = j.pairL[:0]
 		for idx, lane := range j.lanes {
@@ -211,10 +228,33 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 	return nil, nil
 }
 
-// markMatched records that probe lane `lane` produced a pair. Lanes are
-// in increasing order in j.lanes; a linear scan from the current cursor
-// would be O(1), but chunk boundaries make binary search simpler.
-func (j *NLJoin) markMatched(lane int32) {
+// tailChunk emits the next chunk of unmatched right rows, each paired
+// with a NULL left side, or nil when none are left.
+func (j *NLJoin) tailChunk() *vector.Batch {
+	if len(j.tail) == 0 {
+		return nil
+	}
+	n := min(len(j.tail), vector.BatchSize)
+	j.pairL = j.pairL[:0]
+	for i := 0; i < n; i++ {
+		j.pairL = append(j.pairL, -1)
+	}
+	out := j.gatherPairs(j.pairL, j.tail[:n])
+	j.tail = j.tail[n:]
+	return out
+}
+
+// markMatched records that probe lane `lane` and right row r produced a
+// pair. Lanes are in increasing order in j.lanes; a linear scan from the
+// current cursor would be O(1), but chunk boundaries make binary search
+// simpler.
+func (j *NLJoin) markMatched(lane, r int32) {
+	if j.rmatched != nil {
+		j.rmatched[r] = true
+	}
+	if !j.Type.preservesLeft() {
+		return
+	}
 	lo, hi := 0, len(j.lanes)
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"perm/internal/exec"
 	"perm/internal/fault"
 	"perm/internal/obs"
 	"perm/internal/spill"
@@ -524,7 +523,7 @@ type ParallelSort struct {
 	obs.Card
 	Workers []*VecSort
 	Disp    *Morsels
-	Keys    []exec.SortKey
+	Keys    []SortKey
 
 	classes []cmpClass
 	kinds   []types.Kind

@@ -1,9 +1,9 @@
 // Vectorized bag/set operations, implementing the multiset semantics of
-// the paper's Fig. 1 exactly like the row engine's SetOp: UNION ALL adds
+// the paper's Fig. 1: UNION ALL adds
 // multiplicities (and streams), INTERSECT ALL takes the minimum, EXCEPT
 // ALL subtracts; the set variants apply DISTINCT projection to the
 // multiset result. Output order is first appearance across the left then
-// right input, matching the row engine. Under a memory budget the
+// right input. Under a memory budget the
 // distinct-row table spills partial records (row, per-side counts,
 // first-appearance sequence number) into hash partitions; partitions
 // merge the counts independently and a final sequence merge restores the
@@ -11,20 +11,29 @@
 package vexec
 
 import (
-	"perm/internal/exec"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
 	"perm/internal/vector"
 )
 
+// SetOpKind enumerates the set operations.
+type SetOpKind uint8
+
+// Set operations.
+const (
+	Union SetOpKind = iota
+	Intersect
+	Except
+)
+
 // VecSetOp computes a set operation over two vectorized inputs whose
-// column kinds match exactly (the planner checks; mismatched branches
-// stay on the row engine).
+// column kinds match exactly (the planner coerces mismatched branches
+// to their common kinds first).
 type VecSetOp struct {
 	obs.Card
 	Left, Right Node
-	Kind        exec.SetOpKind
+	Kind        SetOpKind
 	All         bool
 	Spill       spill.Resources
 
@@ -49,13 +58,13 @@ type VecSetOp struct {
 }
 
 // NewVecSetOp returns a vectorized set-operation node.
-func NewVecSetOp(left, right Node, kind exec.SetOpKind, all bool) *VecSetOp {
+func NewVecSetOp(left, right Node, kind SetOpKind, all bool) *VecSetOp {
 	return &VecSetOp{Left: left, Right: right, Kind: kind, All: all}
 }
 
 // streaming reports whether the operation passes batches through without
 // materializing (UNION ALL).
-func (s *VecSetOp) streaming() bool { return s.Kind == exec.Union && s.All }
+func (s *VecSetOp) streaming() bool { return s.Kind == Union && s.All }
 
 // Spilled reports whether the operator spilled partitions to disk.
 func (s *VecSetOp) Spilled() bool { return s.ps != nil }
@@ -86,12 +95,12 @@ func (s *VecSetOp) mergeState(g int, state []*vector.Vec, lane int) {
 func (s *VecSetOp) countFor(e int) int64 {
 	var count int64
 	switch s.Kind {
-	case exec.Union:
+	case Union:
 		// Set semantics: distinct union.
 		if s.nL[e]+s.mR[e] > 0 {
 			count = 1
 		}
-	case exec.Intersect:
+	case Intersect:
 		count = s.nL[e]
 		if s.mR[e] < count {
 			count = s.mR[e]
@@ -99,7 +108,7 @@ func (s *VecSetOp) countFor(e int) int64 {
 		if !s.All && count > 0 {
 			count = 1
 		}
-	case exec.Except:
+	case Except:
 		if s.All {
 			count = s.nL[e] - s.mR[e]
 		} else if s.nL[e] > 0 && s.mR[e] == 0 {

@@ -1,13 +1,10 @@
-// Vectorized sorting, top-N, limiting and duplicate elimination. These
-// are the blocking operators that used to force a BatchToRow demotion in
-// the middle of provenance pipelines; implementing them column-wise keeps
-// ORDER BY / LIMIT / DISTINCT plans on the batch engine end to end.
+// Vectorized sorting, top-N, limiting and duplicate elimination: the
+// column-wise ORDER BY / LIMIT / DISTINCT operators.
 package vexec
 
 import (
 	"sort"
 
-	"perm/internal/exec"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -98,9 +95,16 @@ func (e *emitter) close() {
 // ---------------------------------------------------------------------------
 // VecSort
 
+// SortKey is one ordering key: position in the input row plus direction.
+// NULLs sort last ascending, first descending (PostgreSQL default).
+type SortKey struct {
+	Pos  int
+	Desc bool
+}
+
 // VecSort materializes its input into columns and orders it with a
 // column-wise multi-key comparator (stable, NULLS LAST ascending / first
-// descending — the row engine's convention exactly). Under a memory
+// descending, PostgreSQL's default). Under a memory
 // budget (Spill) it becomes an external merge sort: input segments that
 // no longer fit are sorted and written as spill runs, and the output is
 // a fan-in-capped multi-pass k-way merge whose order is identical to the
@@ -108,7 +112,7 @@ func (e *emitter) close() {
 type VecSort struct {
 	obs.Card
 	Input Node
-	Keys  []exec.SortKey
+	Keys  []SortKey
 	Spill spill.Resources
 
 	// Parallel worker mode (set by NewParallelSort): every accumulated
@@ -123,13 +127,13 @@ type VecSort struct {
 	accBytes int64
 	kinds    []types.Kind
 	classes  []cmpClass
-	sortKeys []exec.SortKey
+	sortKeys []SortKey
 	runs     []*spill.Run
 	merger   *runMerger
 }
 
 // NewVecSort returns a vectorized sort node.
-func NewVecSort(input Node, keys []exec.SortKey) *VecSort {
+func NewVecSort(input Node, keys []SortKey) *VecSort {
 	return &VecSort{Input: input, Keys: keys}
 }
 
@@ -195,7 +199,7 @@ func (s *VecSort) Open() (err error) {
 				// sort key.
 				s.kinds = append(s.kinds, types.KindInt)
 				s.classes = append(s.classes, classify(types.KindInt, types.KindInt))
-				s.sortKeys = append(append([]exec.SortKey{}, s.Keys...), exec.SortKey{Pos: len(b.Cols)})
+				s.sortKeys = append(append([]SortKey{}, s.Keys...), SortKey{Pos: len(b.Cols)})
 			}
 		}
 		lanes := resolveSel(b, b.Sel)
@@ -270,12 +274,12 @@ func (s *VecSort) Close() error {
 // VecTopN is the limit-aware sort: it keeps only the top
 // offset+count rows in a bounded max-heap while draining its input
 // (O(n log k) comparisons, bounded candidate storage), then emits them in
-// order with the offset skipped. Ties resolve by input order, matching
-// the row engine's stable sort + LIMIT.
+// order with the offset skipped. Ties resolve by input order, like a
+// stable sort followed by LIMIT.
 type VecTopN struct {
 	obs.Card
 	Input  Node
-	Keys   []exec.SortKey
+	Keys   []SortKey
 	Count  int64 // ≥ 0
 	Offset int64
 
@@ -286,7 +290,7 @@ type VecTopN struct {
 }
 
 // NewVecTopN returns a vectorized top-N node keeping offset+count rows.
-func NewVecTopN(input Node, keys []exec.SortKey, count, offset int64) *VecTopN {
+func NewVecTopN(input Node, keys []SortKey, count, offset int64) *VecTopN {
 	return &VecTopN{Input: input, Keys: keys, Count: count, Offset: offset}
 }
 
@@ -504,8 +508,7 @@ func (l *VecLimit) Close() error { return l.Input.Close() }
 // VecDistinct
 
 // VecDistinct emits the first occurrence of each distinct row (null-safe
-// row equality, first-appearance order — exactly the row engine's
-// Distinct). It streams — every row emitted before memory pressure hits
+// row equality, first-appearance order). It streams — every row emitted before memory pressure hits
 // is provably a first occurrence — and only stops pipelining at the
 // moment a budget grant is actually denied: the seen-set is then flushed
 // as partial records (row, emitted flag, first-appearance sequence

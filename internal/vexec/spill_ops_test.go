@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"perm/internal/algebra"
-	"perm/internal/exec"
 	"perm/internal/mem"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -72,7 +71,7 @@ func colExpr(t *testing.T, col int, kind types.Kind) *vexec.Expr {
 // to the in-memory sort's, stable ties included.
 func TestVecSortSpillMultiPass(t *testing.T) {
 	data := pairRows(50000, 97)
-	keys := []exec.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
+	keys := []vexec.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
 	want := drainRows(t, vexec.NewVecSort(scanOf(t, pairKinds, data), keys))
 
 	res, budget := tinyRes(t, 16<<10)
@@ -135,11 +134,11 @@ func TestVecSetOpSpill(t *testing.T) {
 	left := pairRows(15000, 2003)
 	right := pairRows(10000, 3001)
 	for _, c := range []struct {
-		kind exec.SetOpKind
+		kind vexec.SetOpKind
 		all  bool
 	}{
-		{exec.Union, false}, {exec.Intersect, true}, {exec.Intersect, false},
-		{exec.Except, true}, {exec.Except, false},
+		{vexec.Union, false}, {vexec.Intersect, true}, {vexec.Intersect, false},
+		{vexec.Except, true}, {vexec.Except, false},
 	} {
 		name := fmt.Sprintf("%v-all=%v", c.kind, c.all)
 		want := drainRows(t, vexec.NewVecSetOp(
@@ -209,27 +208,5 @@ func TestHashJoinGraceNullSafe(t *testing.T) {
 	assertSameRows(t, drainRows(t, j), want, "null-safe grace join")
 	if budget.Stats().BytesSpilled == 0 {
 		t.Fatal("null-safe join under a 24 KiB budget did not spill")
-	}
-}
-
-// TestRowSortSpill pins the row engine's external sort against the
-// in-memory one.
-func TestRowSortSpill(t *testing.T) {
-	data := pairRows(50000, 97)
-	keys := []exec.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
-	want, err := exec.Collect(exec.NewSort(exec.NewScan(data), keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := mem.NewGovernor(0).Session(16 << 10)
-	s := exec.NewSort(exec.NewScan(data), keys)
-	s.Spill = spill.Resources{Res: b.Reserve("sort"), Dir: t.TempDir()}
-	got, err := exec.Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, got, want, "row external sort")
-	if st := b.Stats(); st.SpillEvents < 10 {
-		t.Fatalf("expected many row-sort spill runs, got %d", st.SpillEvents)
 	}
 }

@@ -105,7 +105,7 @@ func appendValue(v *vector.Vec, val types.Value) {
 	switch v.Kind {
 	case types.KindBool:
 		v.B = append(v.B, false)
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval, types.KindNull:
 		v.I = append(v.I, 0)
 	case types.KindFloat:
 		v.F = append(v.F, 0)

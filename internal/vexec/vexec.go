@@ -1,13 +1,13 @@
 // Package vexec implements the batch-at-a-time (vectorized) physical
 // operators of the Perm engine: columnar scans over heap column
 // snapshots (with runtime join-filter pushdown), filters driven by
-// selection vectors, projections over vectorized expressions, hash joins
-// (inner and left outer, with the null-safe key variant the provenance
-// join-back conditions require), hash aggregation, sorting/top-N,
-// duplicate elimination and bag/set operations. The planner lowers a
-// plan subtree to these operators when every operator and expression in
-// it is supported, and bridges back to the row-at-a-time engine (package
-// exec) through RowSource wherever it is not.
+// selection vectors, projections over vectorized expressions, hash and
+// nested-loop joins of every type (with the null-safe key variant the
+// provenance join-back conditions require), hash aggregation (DISTINCT
+// aggregates included), sorting/top-N, duplicate elimination and
+// bag/set operations. The planner lowers every query to these
+// operators; RowSource, the plan root, boxes the result into rows
+// (package exec's Node).
 //
 // Batch-buffer discipline: an operator must abandon all references to a
 // batch obtained from its child before calling the child's Next again;
@@ -19,7 +19,6 @@ package vexec
 
 import (
 	"perm/internal/algebra"
-	"perm/internal/exec"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -360,20 +359,34 @@ func (p *Project) Close() error {
 // ---------------------------------------------------------------------------
 // Hash join
 
-// JoinType enumerates the join types the vectorized hash join supports.
-// Right and full outer joins stay on the row engine.
+// JoinType enumerates the physical join types.
 type JoinType uint8
 
-// Vectorized join types.
+// Physical join types.
 const (
 	InnerJoin JoinType = iota
 	LeftJoin
+	RightJoin
+	FullJoin
 )
+
+// preservesLeft reports whether unmatched left (probe) rows are emitted
+// null-extended.
+func (t JoinType) preservesLeft() bool { return t == LeftJoin || t == FullJoin }
+
+// preservesRight reports whether unmatched right (build) rows are
+// emitted null-extended, after every probe row.
+func (t JoinType) preservesRight() bool { return t == RightJoin || t == FullJoin }
 
 // HashJoin is a vectorized equi-join; the right input is the build side.
 // NullSafe marks keys compared with IS NOT DISTINCT FROM semantics.
-// Residual conditions are handled by the planner as a Filter above an
-// inner join; left joins with residuals fall back to the row engine.
+// Residual, when set, is a condition over the concatenated pair that
+// takes part in the match decision (outer joins); the planner puts an
+// inner join's residual in a Filter above the join instead. Right and
+// full joins track a matched bit per build row and emit the unmatched
+// build rows, in build order, after the probe side is exhausted. Only
+// inner and left joins without a residual spill (Grace mode); the
+// planner gives the others no spill resources.
 //
 // Publish, when non-nil, carries one optional runtime filter per key;
 // when the build side completes, each filter is published (min/max range
@@ -385,6 +398,7 @@ type HashJoin struct {
 	LeftKeys    []*Expr
 	RightKeys   []*Expr
 	NullSafe    []bool
+	Residual    *Expr
 	Type        JoinType
 	LeftKinds   []types.Kind
 	RightKinds  []types.Kind
@@ -404,6 +418,13 @@ type HashJoin struct {
 	heads      map[uint64]int32 // key hash → first build row of the chain
 	next       []int32          // per-build-row chain link (-1 ends a chain)
 	neverMatch bool
+	matched    []bool // right/full joins: build rows that found a partner
+	tailDone   bool   // right/full joins: unmatched build rows queued
+	nullLeft   *vector.Batch
+	keep       []bool // residual verdict per pending candidate pair
+	keptL      []int32
+	keptR      []int32
+	resBuf     []*vector.Vec
 
 	curBatch   *vector.Batch
 	outL, outR []int32 // pending (probe lane, build row) pairs; build -1 = null-extend
@@ -440,7 +461,7 @@ func (j *HashJoin) PublishesFilters() bool {
 
 func (j *HashJoin) Open() (err error) {
 	// A non-null-safe key pair outside the comparable classes can never
-	// match (the row engine's Equal would reject it too). Null-safe keys
+	// match (types.Equal would reject it too). Null-safe keys
 	// are exempt: NULL IS NOT DISTINCT FROM NULL matches regardless of
 	// the declared kinds, and non-NULL incomparable lanes already land in
 	// different hash buckets.
@@ -510,7 +531,9 @@ func (j *HashJoin) Open() (err error) {
 					break
 				}
 			}
-			if keep {
+			// Right and full joins keep NULL-keyed build rows: they match
+			// nothing but are emitted null-extended.
+			if keep || j.Type.preservesRight() {
 				lanes = append(lanes, i)
 			}
 		}
@@ -580,12 +603,15 @@ func (j *HashJoin) Open() (err error) {
 	}
 
 	// Assemble the chained hash table. Chains are threaded in reverse so
-	// probing visits build rows in input order, like the row engine's
-	// bucket order.
+	// probing visits build rows in build-input order.
 	total := len(hashes)
 	j.heads = make(map[uint64]int32, total)
 	j.next = make([]int32, total)
 	for r := total - 1; r >= 0; r-- {
+		if j.nullKeyed(r) {
+			j.next[r] = -1
+			continue
+		}
 		if head, ok := j.heads[hashes[r]]; ok {
 			j.next[r] = head
 		} else {
@@ -604,11 +630,27 @@ func (j *HashJoin) Open() (err error) {
 	j.curBatch = nil
 	j.outL, j.outR = j.outL[:0], j.outR[:0]
 	j.outPos = 0
+	j.tailDone = false
+	j.matched = nil
+	if j.Type.preservesRight() {
+		j.matched = make([]bool, total)
+	}
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
 	j.leftOpen = true
 	return nil
+}
+
+// nullKeyed reports whether build row r has a NULL in a key compared
+// without null-safety (it can match nothing).
+func (j *HashJoin) nullKeyed(r int) bool {
+	for k, kv := range j.buildKeys {
+		if !j.NullSafe[k] && kv.Nulls.Get(r) {
+			return true
+		}
+	}
+	return false
 }
 
 // keysMatch compares probe lane pi against build row bi.
@@ -667,12 +709,19 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		if j.outPos < len(j.outL) {
 			return j.emit(), nil
 		}
+		if j.tailDone {
+			return nil, nil
+		}
 		b, err := j.Left.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return nil, nil
+			if !j.Type.preservesRight() {
+				return nil, nil
+			}
+			j.queueUnmatchedBuild()
+			continue
 		}
 		keys := make([]*vector.Vec, len(j.LeftKeys))
 		for k, ke := range j.LeftKeys {
@@ -684,7 +733,12 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		}
 		j.outL, j.outR = j.outL[:0], j.outR[:0]
 		j.outPos = 0
-		for _, i := range resolveSel(b, b.Sel) {
+		j.curBatch = b
+		sel := resolveSel(b, b.Sel)
+		// With a residual, the key matches are only candidates: they are
+		// filtered below before null extension is decided.
+		direct := j.Residual == nil
+		for _, i := range sel {
 			matched := false
 			nullKey := false
 			for k := range keys {
@@ -701,11 +755,14 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 							j.outL = append(j.outL, int32(i))
 							j.outR = append(j.outR, bi)
 							matched = true
+							if direct && j.matched != nil {
+								j.matched[bi] = true
+							}
 						}
 					}
 				}
 			}
-			if !matched && j.Type == LeftJoin {
+			if direct && !matched && j.Type.preservesLeft() {
 				j.outL = append(j.outL, int32(i))
 				j.outR = append(j.outR, -1)
 			}
@@ -713,8 +770,89 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		for k, kv := range keys {
 			j.LeftKeys[k].FreeResult(kv)
 		}
-		j.curBatch = b
+		if !direct {
+			if err := j.applyResidual(sel); err != nil {
+				return nil, err
+			}
+		}
 	}
+}
+
+// applyResidual filters the pending candidate pairs of the current probe
+// batch through the residual, then null-extends the probe lanes left
+// without a partner (left/full joins). Candidates are grouped by probe
+// lane in selection order, so one cursor walk rebuilds the pair list.
+func (j *HashJoin) applyResidual(sel []int) error {
+	n := len(j.outL)
+	j.keep = j.keep[:0]
+	if j.resBuf == nil {
+		j.resBuf = make([]*vector.Vec, len(j.LeftKinds)+len(j.RightKinds))
+	}
+	for lo := 0; lo < n; lo += vector.BatchSize {
+		hi := min(lo+vector.BatchSize, n)
+		pairs := j.gatherPairs(j.resBuf, j.outL[lo:hi], j.outR[lo:hi])
+		pv, err := j.Residual.fn(pairs, nil)
+		if err == nil {
+			for i := 0; i < pairs.N; i++ {
+				j.keep = append(j.keep, !pv.Nulls.Get(i) && pv.B[i])
+			}
+			j.Residual.FreeResult(pv)
+		}
+		for _, v := range pairs.Cols {
+			v.Free()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	keptL, keptR := j.keptL[:0], j.keptR[:0]
+	cand := 0
+	for _, i := range sel {
+		matched := false
+		for ; cand < n && j.outL[cand] == int32(i); cand++ {
+			if j.keep[cand] {
+				keptL, keptR = append(keptL, int32(i)), append(keptR, j.outR[cand])
+				matched = true
+				if j.matched != nil {
+					j.matched[j.outR[cand]] = true
+				}
+			}
+		}
+		if !matched && j.Type.preservesLeft() {
+			keptL, keptR = append(keptL, int32(i)), append(keptR, -1)
+		}
+	}
+	j.outL, j.keptL = keptL, j.outL
+	j.outR, j.keptR = keptR, j.outR
+	return nil
+}
+
+// queueUnmatchedBuild queues the build rows no probe row matched, each
+// paired with a NULL left side, once the probe side is exhausted.
+func (j *HashJoin) queueUnmatchedBuild() {
+	j.tailDone = true
+	j.outL, j.outR = j.outL[:0], j.outR[:0]
+	j.outPos = 0
+	for r, m := range j.matched {
+		if !m {
+			j.outL = append(j.outL, -1)
+			j.outR = append(j.outR, int32(r))
+		}
+	}
+	if j.nullLeft == nil {
+		j.nullLeft = emptyBatch(j.LeftKinds)
+	}
+	j.curBatch = j.nullLeft
+}
+
+// emptyBatch is a zero-row batch of the given column kinds: the gather
+// source for an all-NULL side.
+func emptyBatch(kinds []types.Kind) *vector.Batch {
+	cols := make([]*vector.Vec, len(kinds))
+	for c, k := range kinds {
+		cols[c] = vector.NewVec(k, 0)
+	}
+	return &vector.Batch{Cols: cols}
 }
 
 // emit returns the next chunk of pending join results as a batch,
@@ -735,16 +873,23 @@ func (j *HashJoin) emit() *vector.Batch {
 	if j.emitBuf == nil {
 		j.emitBuf = make([]*vector.Vec, len(j.LeftKinds)+len(j.RightKinds))
 	}
-	cols := j.emitBuf
+	b := j.gatherPairs(j.emitBuf, chunkL, chunkR)
+	j.emitOwned = append(j.emitOwned, b.Cols...)
+	return b
+}
+
+// gatherPairs assembles (probe lane, build row) pairs of the current
+// probe batch into cols as pooled vectors; an index of -1 on either side
+// yields NULLs.
+func (j *HashJoin) gatherPairs(cols []*vector.Vec, pairL, pairR []int32) *vector.Batch {
 	for c, k := range j.LeftKinds {
-		cols[c] = vector.GatherBatch(j.curBatch.Cols[c], chunkL, k)
+		cols[c] = vector.GatherBatch(j.curBatch.Cols[c], pairL, k)
 	}
 	off := len(j.LeftKinds)
 	for c, k := range j.RightKinds {
-		cols[off+c] = vector.GatherBatch(j.buildCols[c], chunkR, k)
+		cols[off+c] = vector.GatherBatch(j.buildCols[c], pairR, k)
 	}
-	j.emitOwned = append(j.emitOwned, cols...)
-	return &vector.Batch{N: n, Cols: cols}
+	return &vector.Batch{N: len(pairL), Cols: cols}
 }
 
 func (j *HashJoin) Close() error {
@@ -758,6 +903,7 @@ func (j *HashJoin) Close() error {
 	}
 	j.emitOwned = j.emitOwned[:0]
 	j.buildCols, j.buildKeys, j.heads, j.next = nil, nil, nil, nil
+	j.matched = nil
 	j.curBatch = nil
 	if j.grace != nil {
 		j.grace.cleanup()
@@ -770,18 +916,22 @@ func (j *HashJoin) Close() error {
 // ---------------------------------------------------------------------------
 // Hash aggregation
 
-// AggSpec describes one aggregate to compute vectorized. Distinct
-// aggregates stay on the row engine.
+// AggSpec describes one aggregate to compute vectorized. A Distinct
+// aggregate folds each distinct non-NULL argument value once; its seen
+// sets have no serialized form, so an aggregation with one neither
+// spills nor runs as a parallel partial aggregation.
 type AggSpec struct {
 	Fn         algebra.AggFn
 	Star       bool
+	Distinct   bool
 	Arg        *Expr // nil for COUNT(*)
 	ResultKind types.Kind
 }
 
 // HashAgg groups input rows by the group expressions and computes
 // aggregates per group; output rows are group values followed by
-// aggregate results, exactly like the row engine's HashAgg. Under a
+// aggregate results; a global aggregation (no groups) emits one row even
+// for empty input. Under a
 // memory budget it spills Grace-style: when the group table no longer
 // fits, every group is flushed as a partial record (group values,
 // serialized accumulator state, first-appearance sequence number) into
@@ -907,9 +1057,10 @@ type aggAcc struct {
 	sumF    []float64
 	sawAny  []bool
 	mmSet   []bool
-	mI      []int64 // min/max payload for int/date/bool args
+	mI      []int64 // min/max payload for int/date/interval/bool args
 	mF      []float64
 	mS      []string
+	seen    []map[uint64][]types.Value // Distinct: values folded so far
 }
 
 func (a *aggAcc) addGroup() {
@@ -921,6 +1072,9 @@ func (a *aggAcc) addGroup() {
 	a.mI = append(a.mI, 0)
 	a.mF = append(a.mF, 0)
 	a.mS = append(a.mS, "")
+	if a.spec.Distinct {
+		a.seen = append(a.seen, make(map[uint64][]types.Value))
+	}
 }
 
 // accumulate folds lane i of arg into group g, mirroring the row
@@ -931,6 +1085,9 @@ func (a *aggAcc) accumulate(g int, arg *vector.Vec, i int) {
 		return
 	}
 	if arg.Nulls.Get(i) {
+		return
+	}
+	if a.spec.Distinct && !a.firstSighting(g, arg, i) {
 		return
 	}
 	a.sawAny[g] = true
@@ -956,10 +1113,26 @@ func (a *aggAcc) accumulate(g int, arg *vector.Vec, i int) {
 	}
 }
 
+// firstSighting records lane i of arg in group g's seen set and reports
+// whether the value was new there.
+func (a *aggAcc) firstSighting(g int, arg *vector.Vec, i int) bool {
+	v := arg.Value(i)
+	h := v.Hash()
+	for _, s := range a.seen[g][h] {
+		if !types.Distinct(s, v) {
+			return false
+		}
+	}
+	a.seen[g][h] = append(a.seen[g][h], v)
+	return true
+}
+
 func (a *aggAcc) laneLess(arg *vector.Vec, i, g int) bool {
 	switch a.argKind {
 	case types.KindInt, types.KindDate:
 		return arg.I[i] < a.mI[g]
+	case types.KindInterval:
+		return intervalDays(arg.I[i]) < intervalDays(a.mI[g])
 	case types.KindFloat:
 		return arg.F[i] < a.mF[g]
 	case types.KindString:
@@ -973,6 +1146,8 @@ func (a *aggAcc) laneGreater(arg *vector.Vec, i, g int) bool {
 	switch a.argKind {
 	case types.KindInt, types.KindDate:
 		return arg.I[i] > a.mI[g]
+	case types.KindInterval:
+		return intervalDays(arg.I[i]) > intervalDays(a.mI[g])
 	case types.KindFloat:
 		return arg.F[i] > a.mF[g]
 	case types.KindString:
@@ -985,7 +1160,7 @@ func (a *aggAcc) laneGreater(arg *vector.Vec, i, g int) bool {
 func (a *aggAcc) store(g int, arg *vector.Vec, i int) {
 	a.mmSet[g] = true
 	switch a.argKind {
-	case types.KindInt, types.KindDate:
+	case types.KindInt, types.KindDate, types.KindInterval:
 		a.mI[g] = arg.I[i]
 	case types.KindFloat:
 		a.mF[g] = arg.F[i]
@@ -1051,6 +1226,9 @@ func (a *aggAcc) mergeState(g int, st []*vector.Vec, lane int) {
 		better = (min && mF < a.mF[g]) || (!min && mF > a.mF[g])
 	case types.KindString:
 		better = (min && mS < a.mS[g]) || (!min && mS > a.mS[g])
+	case types.KindInterval:
+		d, cur := intervalDays(mI), intervalDays(a.mI[g])
+		better = (min && d < cur) || (!min && d > cur)
 	default: // int, date, and bool (stored in mI)
 		better = (min && mI < a.mI[g]) || (!min && mI > a.mI[g])
 	}
@@ -1059,7 +1237,7 @@ func (a *aggAcc) mergeState(g int, st []*vector.Vec, lane int) {
 	}
 }
 
-// finalize boxes group g's result, mirroring the row engine's finalize.
+// finalize boxes group g's result.
 func (a *aggAcc) finalize(g int) types.Value {
 	switch a.spec.Fn {
 	case algebra.AggCount:
@@ -1086,6 +1264,8 @@ func (a *aggAcc) finalize(g int) types.Value {
 			return types.NewInt(a.mI[g])
 		case types.KindDate:
 			return types.NewDate(a.mI[g])
+		case types.KindInterval:
+			return types.Value{K: types.KindInterval, I: a.mI[g]}
 		case types.KindFloat:
 			return types.NewFloat(a.mF[g])
 		case types.KindString:
@@ -1460,12 +1640,10 @@ func (h *HashAgg) Close() error {
 // ---------------------------------------------------------------------------
 // Batch→row adapter
 
-// RowSource adapts a vectorized subtree to the row engine's volcano
-// interface (it structurally satisfies exec.Node), boxing each live
-// batch row back into a types.Row. This is the per-subtree fallback
-// boundary: row-only operators (right/full joins, unsupported
-// expressions) and the top-level result sink consume vectorized subtrees
-// through it.
+// RowSource is the root of every plan: it adapts the batch operator tree
+// to the volcano row interface (it structurally satisfies exec.Node),
+// boxing each live batch row into a types.Row. The engine's own result
+// drain reads the batches under it directly.
 type RowSource struct {
 	obs.Card
 	Input Node
@@ -1511,7 +1689,7 @@ func (r *RowSource) Close() error { return r.Input.Close() }
 
 // sortKeyClasses precomputes the comparison class of each sort key from
 // the first batch's column kinds.
-func sortKeyClasses(keys []exec.SortKey, cols []*vector.Vec) []cmpClass {
+func sortKeyClasses(keys []SortKey, cols []*vector.Vec) []cmpClass {
 	classes := make([]cmpClass, len(keys))
 	for i, k := range keys {
 		classes[i] = classify(cols[k.Pos].Kind, cols[k.Pos].Kind)

@@ -63,11 +63,11 @@ func firstInts(rows []types.Row) []string {
 func TestVecSortNullsAndDirections(t *testing.T) {
 	kinds := []types.Kind{types.KindInt}
 	data := intRows(3, nil, 1, 2, nil, 1)
-	asc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []exec.SortKey{{Pos: 0}}))
+	asc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []vexec.SortKey{{Pos: 0}}))
 	if got, want := fmt.Sprint(firstInts(asc)), "[1 1 2 3 NULL NULL]"; got != want {
 		t.Errorf("asc = %s, want %s (NULLS LAST ascending)", got, want)
 	}
-	desc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []exec.SortKey{{Pos: 0, Desc: true}}))
+	desc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []vexec.SortKey{{Pos: 0, Desc: true}}))
 	if got, want := fmt.Sprint(firstInts(desc)), "[NULL NULL 3 2 1 1]"; got != want {
 		t.Errorf("desc = %s, want %s (NULLS FIRST descending)", got, want)
 	}
@@ -79,7 +79,7 @@ func TestVecSortStability(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(i % 3)), types.NewInt(int64(i))})
 	}
-	sorted := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, rows), []exec.SortKey{{Pos: 0}}))
+	sorted := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, rows), []vexec.SortKey{{Pos: 0}}))
 	last := int64(-1)
 	for _, r := range sorted {
 		if r[0].I == 0 { // within one key group, input order must persist
@@ -97,7 +97,7 @@ func TestVecTopNMatchesSortLimit(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64((i * 37) % 101)), types.NewInt(int64(i))})
 	}
-	keys := []exec.SortKey{{Pos: 0}, {Pos: 1, Desc: true}}
+	keys := []vexec.SortKey{{Pos: 0}, {Pos: 1, Desc: true}}
 	for _, lim := range []struct{ count, offset int64 }{{10, 0}, {5, 7}, {0, 0}, {5000, 0}} {
 		full := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, rows), keys))
 		lo := lim.offset
@@ -128,7 +128,7 @@ func TestVecTopNDescendingInput(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(n - i))})
 	}
-	got := drainRows(t, vexec.NewVecTopN(scanOf(t, kinds, rows), []exec.SortKey{{Pos: 0}}, 5, 2))
+	got := drainRows(t, vexec.NewVecTopN(scanOf(t, kinds, rows), []vexec.SortKey{{Pos: 0}}, 5, 2))
 	if fmt.Sprint(firstInts(got)) != "[3 4 5 6 7]" {
 		t.Fatalf("topn over descending input = %v", firstInts(got))
 	}
@@ -163,16 +163,16 @@ func TestVecSetOpMultisetSemantics(t *testing.T) {
 	left := intRows(1, 1, 2, nil, nil)
 	right := intRows(1, 3, nil)
 	cases := []struct {
-		kind exec.SetOpKind
+		kind vexec.SetOpKind
 		all  bool
 		want string
 	}{
-		{exec.Union, true, "[1 1 2 NULL NULL 1 3 NULL]"},
-		{exec.Union, false, "[1 2 NULL 3]"},
-		{exec.Intersect, true, "[1 NULL]"},
-		{exec.Intersect, false, "[1 NULL]"},
-		{exec.Except, true, "[1 2 NULL]"},
-		{exec.Except, false, "[2]"},
+		{vexec.Union, true, "[1 1 2 NULL NULL 1 3 NULL]"},
+		{vexec.Union, false, "[1 2 NULL 3]"},
+		{vexec.Intersect, true, "[1 NULL]"},
+		{vexec.Intersect, false, "[1 NULL]"},
+		{vexec.Except, true, "[1 2 NULL]"},
+		{vexec.Except, false, "[2]"},
 	}
 	for _, c := range cases {
 		got := drainRows(t, vexec.NewVecSetOp(scanOf(t, kinds, left), scanOf(t, kinds, right), c.kind, c.all))

@@ -19,7 +19,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpPrepare, Name: "q1", SQL: "SELECT 1"},
 		{Op: OpExecute, Name: "q1"},
 		{Op: OpExplain, SQL: "SELECT 1"},
-		{Op: OpSet, Name: "disable_vectorized", SQL: "on"},
+		{Op: OpSet, Name: "disable_optimizer", SQL: "on"},
 		{Op: OpPing},
 	}
 	var buf bytes.Buffer

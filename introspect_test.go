@@ -2,12 +2,14 @@ package perm_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"perm"
 	"perm/internal/session"
+	"perm/internal/tpch"
 )
 
 // introspectDB returns a database with tracing on for every query and a
@@ -369,6 +371,27 @@ func TestTracedExecutionIdentical(t *testing.T) {
 			fmt.Sscanf(res.Rows[0][0].String(), "%d", &n)
 			if n < len(queries) {
 				t.Fatalf("traced side recorded %d executed traces, want >= %d", n, len(queries))
+			}
+
+			// TPC-H Q1 and Q7 with provenance (Q7 exercises the fallback
+			// expression kernel) drain the same way traced and untraced,
+			// and the traced runs still harvest operator spans.
+			ta := perm.NewDatabaseWithOptions(traced)
+			tb := perm.NewDatabaseWithOptions(untraced)
+			tpch.MustLoad(ta, 0.001, 42)
+			tpch.MustLoad(tb, 0.001, 42)
+			rng := tpch.NewRand(7)
+			for _, qn := range []int{1, 7} {
+				q := tpch.MustQGen(qn, rng).Provenance()
+				assertIdenticalResult(t, ta, tb, q.Text)
+				ra, rb := ta.MustQuery(q.Text).RawRows(), tb.MustQuery(q.Text).RawRows()
+				if !reflect.DeepEqual(ra, rb) {
+					t.Fatalf("Q%d/prov: traced and untraced values differ", qn)
+				}
+			}
+			res = ta.MustQuery(`SELECT count(*) FROM perm_traces WHERE depth >= 1`)
+			if res.Rows[0][0].Int() == 0 {
+				t.Fatal("traced TPC-H runs harvested no operator spans")
 			}
 		})
 	}

@@ -92,7 +92,7 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 	qr.phase(obs.PhaseExecute)
 	pre := db.budget.Stats()
 	start := time.Now()
-	rows, err := collectRows(node, qr.activeQuery())
+	res.Rows, err = drain(node, qr.activeQuery())
 	total := time.Since(start)
 	if err != nil {
 		return nil, "", err
@@ -106,14 +106,6 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 		db.eng.stmts.ObserveEstimates(fp, norm, plan.OperatorEstimates(node))
 	}
 	post := db.budget.Stats()
-	res.Rows = make([][]Value, len(rows))
-	for i, r := range rows {
-		vr := make([]Value, len(r))
-		for j, v := range r {
-			vr[j] = Value{v: v}
-		}
-		res.Rows[i] = vr
-	}
 	report := plan.ExplainAnalyzed(node, total, post.Peak, post.BytesSpilled-pre.BytesSpilled) +
 		"Fingerprint: " + fp + "\n"
 	return res, report, nil

@@ -97,13 +97,6 @@ type Options struct {
 	// hatch and for A/B measurement.
 	DisableOptimizer bool
 
-	// DisableVectorized turns off the vectorized (batch-at-a-time)
-	// execution engine; every plan then runs on the row-at-a-time volcano
-	// operators. Vectorization is semantics-preserving — plan subtrees it
-	// cannot handle fall back to the row engine automatically — so the
-	// switch exists as an escape hatch and for A/B measurement.
-	DisableVectorized bool
-
 	// DisableQueryCache turns off the shared compiled-query cache; every
 	// Query call then re-parses, re-rewrites and re-optimizes its
 	// statement. Caching is semantics-preserving (artifacts are
@@ -594,87 +587,37 @@ func (db *Database) executeCompiled(q *algebra.Query, into string, qr *queryRun)
 	}
 	qr.phase(obs.PhaseExecute)
 	// A sampled query gets per-operator child spans: instrument the tree
-	// with the EXPLAIN ANALYZE probes (which forward batches and rows by
-	// pointer, so execution stays byte-identical) and harvest their
-	// measurements into the trace afterwards.
+	// with the EXPLAIN ANALYZE probes (which forward batches by pointer,
+	// so execution stays byte-identical) and harvest their measurements
+	// into the trace afterwards.
 	traced := qr != nil && qr.trace != nil
 	if traced {
 		node = plan.Instrument(node)
 	}
-	aq := qr.activeQuery()
-	// A fully vectorized plan ends in a single batch→row adapter; read
-	// the batches underneath it directly so result values box straight
-	// out of the column vectors instead of through intermediate rows.
-	if rs, ok := node.(*vexec.RowSource); ok && into == "" {
-		res.Rows, err = collectBatchValues(rs.Input, aq)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+	res.Rows, err = drain(node, qr.activeQuery())
+	if err != nil {
+		return nil, err
 	}
-	rows, err := collectRows(node, aq)
-	if traced && err == nil {
+	if traced {
 		for _, sp := range plan.OperatorSpans(node) {
 			qr.trace.Add(sp)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = make([][]Value, len(rows))
-	for i, r := range rows {
-		vr := make([]Value, len(r))
-		for j, v := range r {
-			vr[j] = Value{v: v}
-		}
-		res.Rows[i] = vr
-	}
 	if into != "" {
-		if err := db.materialize(into, schema, rows); err != nil {
+		if err := db.materialize(into, schema, res.Rows); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-// collectRows drains a row plan like exec.Collect, additionally feeding
-// emitted-row progress and cancellation checks to the active-query
-// record at batch-sized strides.
-func collectRows(n exec.Node, aq *obs.ActiveQuery) ([]types.Row, error) {
-	if aq == nil {
-		return exec.Collect(n)
-	}
-	if err := n.Open(); err != nil {
-		return nil, err
-	}
-	defer n.Close()
-	var rows []types.Row
-	pending := int64(0)
-	for {
-		r, err := n.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			aq.AddRows(pending)
-			return rows, nil
-		}
-		rows = append(rows, r)
-		if pending++; pending == 1024 {
-			aq.AddRows(pending)
-			pending = 0
-			if err := aq.CancelErr(); err != nil {
-				return nil, err
-			}
-		}
-	}
-}
-
-// collectBatchValues drains a vectorized plan into result rows, boxing
-// each live lane once. Per batch it feeds emitted-row progress and a
-// cancellation check to the active-query record (one atomic add and one
-// atomic load per batch).
-func collectBatchValues(in vexec.Node, aq *obs.ActiveQuery) ([][]Value, error) {
+// drain runs a plan to completion. The plan's root is the batch→row
+// adapter; reading the batches underneath it directly boxes each result
+// value once, straight out of the column vectors. Per batch it feeds
+// emitted-row progress and a cancellation check to the active-query
+// record (one atomic add and one atomic load per batch).
+func drain(node exec.Node, aq *obs.ActiveQuery) ([][]Value, error) {
+	in := node.(*vexec.RowSource).Input
 	if err := in.Open(); err != nil {
 		return nil, err
 	}
@@ -765,7 +708,6 @@ func (db *Database) ExplainSQL(text string) (string, error) {
 // planner returns a planner configured from the database options.
 func (db *Database) planner() *plan.Planner {
 	return plan.New(db.cat).
-		SetVectorized(!db.opts.DisableVectorized).
 		SetResources(db.budget, spill.ResolveDir(db.opts.SpillDir)).
 		SetParallelism(effectiveParallelism(db.opts))
 }
@@ -984,7 +926,7 @@ func (db *Database) runSelect(sel *sql.SelectStmt, qr *queryRun) (*Result, error
 }
 
 // materialize stores a result as a new base table (SELECT ... INTO).
-func (db *Database) materialize(name string, schema algebra.Schema, rows []types.Row) error {
+func (db *Database) materialize(name string, schema algebra.Schema, rows [][]Value) error {
 	cols := make([]catalog.Column, len(schema))
 	seen := make(map[string]int)
 	for i, c := range schema {
@@ -1004,7 +946,11 @@ func (db *Database) materialize(name string, schema algebra.Schema, rows []types
 		return err
 	}
 	for _, r := range rows {
-		if err := t.Heap.Insert(r.Clone()); err != nil {
+		row := make(types.Row, len(r))
+		for i, v := range r {
+			row[i] = v.v
+		}
+		if err := t.Heap.Insert(row); err != nil {
 			return err
 		}
 	}

@@ -117,18 +117,19 @@ func TestSpillMultiPassTransparency(t *testing.T) {
 	}
 }
 
-// TestSpillRowEngineSort pins the row engine's external sort: with
-// vectorized execution off, ORDER BY must spill and stay byte-identical.
-func TestSpillRowEngineSort(t *testing.T) {
+// TestSpillSortMixedDirections: an ORDER BY mixing descending and
+// ascending keys over text and int columns must spill under a 64 KiB
+// budget and stay byte-identical to the in-memory sort.
+func TestSpillSortMixedDirections(t *testing.T) {
 	budgeted := perm.NewDatabaseWithOptions(perm.Options{
-		MemoryLimit: 64 << 10, DisableVectorized: true, SpillDir: t.TempDir(),
+		MemoryLimit: 64 << 10, Parallelism: 1, SpillDir: t.TempDir(),
 	})
-	unlimited := perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: -1, DisableVectorized: true})
+	unlimited := perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: -1, Parallelism: 1})
 	bigTable(budgeted)
 	bigTable(unlimited)
 	assertIdenticalResult(t, budgeted, unlimited, `SELECT a, b, s FROM big ORDER BY b DESC, s, a`)
 	if st := budgeted.QueryStats(); st.BytesSpilled == 0 {
-		t.Fatalf("row-engine sort under 64 KiB budget did not spill: %+v", st)
+		t.Fatalf("sort under 64 KiB budget did not spill: %+v", st)
 	}
 }
 

@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,9 +36,9 @@ func countOps(v reflect.Value) int {
 
 // TestPlanHealthWalkersComplete guards the single child enumeration and
 // label switch every plan walk shares: over the Fig. 10 queries and the
-// §V-B corpora, normal and with provenance, serial and parallel (and
-// with the row engine), no EXPLAIN or EXPLAIN ANALYZE line falls back to
-// a Go type name, instrumentation probes every operator outside worker
+// §V-B corpora, normal and with provenance, serial, parallel and under a
+// spilling budget, no EXPLAIN or EXPLAIN ANALYZE line falls back to a Go
+// type name, instrumentation probes every batch operator outside worker
 // replicas, and an instrumented tree explains exactly like the plain
 // one. An operator type missing from either switch fails here instead
 // of silently vanishing from traces and estimates.
@@ -48,7 +49,7 @@ func TestPlanHealthWalkersComplete(t *testing.T) {
 	}{
 		{"serial", Options{MemoryLimit: -1, Parallelism: 1}},
 		{"parallel", Options{MemoryLimit: -1, Parallelism: 2}},
-		{"row-engine", Options{MemoryLimit: -1, Parallelism: 1, DisableVectorized: true}},
+		{"budgeted", Options{MemoryLimit: 64 << 10, Parallelism: 1}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -111,14 +112,33 @@ func assertWalkersComplete(t *testing.T, db *Database, text string) {
 	ops := countOps(reflect.ValueOf(node))
 
 	node = plan.Instrument(node)
-	if _, err := collectRows(node, nil); err != nil {
+	if _, err := drain(node, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := plan.Explain(node); got != plain {
 		t.Fatalf("instrumented tree explains differently for %s:\n%s\nvs plain\n%s", text, got, plain)
 	}
-	if spans := plan.OperatorSpans(node); len(spans) != ops {
+	// Every operator but the root batch→row adapter is probed.
+	if spans := plan.OperatorSpans(node); len(spans) != ops-1 {
 		t.Fatalf("%d operator spans for %d operators in %s:\n%s", len(spans), ops, text, plain)
 	}
 	noTypeLabels("EXPLAIN ANALYZE", plan.ExplainAnalyzed(node, 0, 0, 0))
+}
+
+// PlanOf compiles and plans a SELECT the way Query does and returns the
+// physical plan, for tests that inspect plan trees.
+func PlanOf(db *Database, text string) (exec.Node, error) {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("not a SELECT: %s", text)
+	}
+	q, err := db.analyzeAndRewrite(sel)
+	if err != nil {
+		return nil, err
+	}
+	return db.planner().Plan(q)
 }
