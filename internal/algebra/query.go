@@ -187,6 +187,38 @@ type SetOpLeaf struct {
 
 func (*SetOpLeaf) setOpItem() {}
 
+// SetOpKinds returns the output column kinds of a set-operation tree
+// over the range table rt: per column, the common kind of every input
+// (an int and a float column yield float, as in SQL's UNION type
+// resolution), so each output value fits its column's kind.
+func SetOpKinds(rt []*RTE, item SetOpItem) ([]types.Kind, error) {
+	switch n := item.(type) {
+	case *SetOpLeaf:
+		return rt[n.RT].Cols.Kinds(), nil
+	case *SetOpNode:
+		left, err := SetOpKinds(rt, n.Left)
+		if err != nil {
+			return nil, err
+		}
+		right, err := SetOpKinds(rt, n.Right)
+		if err != nil {
+			return nil, err
+		}
+		if len(left) != len(right) {
+			return nil, fmt.Errorf("%s requires inputs with the same number of columns (%d vs %d)",
+				n.Op, len(left), len(right))
+		}
+		for i := range left {
+			if left[i], err = types.CommonKind(left[i], right[i]); err != nil {
+				return nil, fmt.Errorf("%s column %d: %v", n.Op, i+1, err)
+			}
+		}
+		return left, nil
+	default:
+		return nil, fmt.Errorf("unknown set operation item %T", item)
+	}
+}
+
 // SortItem is one ORDER BY entry, referring to a target-list position.
 type SortItem struct {
 	Expr Expr

@@ -138,24 +138,19 @@ func (a *Analyzer) analyzeSetOp(stmt *sql.SelectStmt, outer *scope) (*algebra.Qu
 	if err != nil {
 		return nil, err
 	}
-	ls, rs := a.leafSchema(q, left), a.leafSchema(q, right)
-	if len(ls) != len(rs) {
-		return nil, fmt.Errorf("%s requires inputs with the same number of columns (%d vs %d)",
-			stmt.Op, len(ls), len(rs))
-	}
-	for i := range ls {
-		if _, err := types.CommonKind(ls[i].Type, rs[i].Type); err != nil {
-			return nil, fmt.Errorf("%s column %d: %v", stmt.Op, i+1, err)
-		}
-	}
 	q.SetOp = &algebra.SetOpNode{Op: opKind, All: stmt.All, Left: left, Right: right}
+	kinds, err := algebra.SetOpKinds(q.RangeTable, q.SetOp)
+	if err != nil {
+		return nil, err
+	}
 
-	// The target list passes through the first branch's schema.
+	// The target list takes the first branch's names and every branch's
+	// common kinds.
 	first := firstLeaf(q.SetOp)
 	branch := q.RangeTable[first.RT]
 	for ci, col := range branch.Cols {
 		q.TargetList = append(q.TargetList, algebra.TargetEntry{
-			Expr: &algebra.Var{RT: first.RT, Col: ci, Name: col.Name, Typ: col.Type},
+			Expr: &algebra.Var{RT: first.RT, Col: ci, Name: col.Name, Typ: kinds[ci]},
 			Name: col.Name,
 		})
 	}
@@ -222,29 +217,7 @@ func (a *Analyzer) buildSetOpTree(stmt *sql.SelectStmt, q *algebra.Query, outer 
 	if err != nil {
 		return nil, err
 	}
-	// Union compatibility check between the two sides.
-	ls, rs := a.leafSchema(q, left), a.leafSchema(q, right)
-	if len(ls) != len(rs) {
-		return nil, fmt.Errorf("%s requires inputs with the same number of columns (%d vs %d)",
-			stmt.Op, len(ls), len(rs))
-	}
-	for i := range ls {
-		if _, err := types.CommonKind(ls[i].Type, rs[i].Type); err != nil {
-			return nil, fmt.Errorf("%s column %d: %v", stmt.Op, i+1, err)
-		}
-	}
 	return &algebra.SetOpNode{Op: opKind, All: stmt.All, Left: left, Right: right}, nil
-}
-
-func (a *Analyzer) leafSchema(q *algebra.Query, item algebra.SetOpItem) algebra.Schema {
-	switch n := item.(type) {
-	case *algebra.SetOpLeaf:
-		return q.RangeTable[n.RT].Cols
-	case *algebra.SetOpNode:
-		return a.leafSchema(q, n.Left)
-	default:
-		return nil
-	}
 }
 
 // leftmostLeafStmt returns the leftmost plain-select branch of a

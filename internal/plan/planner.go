@@ -1099,16 +1099,15 @@ func (p *Planner) hashJoin(left, right *planned, leftKeyExprs, rightKeyExprs []a
 			return nil, err
 		}
 	}
-	vjt := jt
-	vj := vexec.NewHashJoin(left.node, right.node, lk, rk, nullSafe, vjt, left.kinds, right.kinds)
+	vj := vexec.NewHashJoin(left.node, right.node, lk, rk, nullSafe, jt, left.kinds, right.kinds)
 	vj.SetActivity(p.activity)
-	if vjt != vexec.InnerJoin {
+	if jt != vexec.InnerJoin {
 		vj.Residual, res = res, nil
 	}
-	if vjt == vexec.InnerJoin || (vjt == vexec.LeftJoin && vj.Residual == nil) {
+	if jt == vexec.InnerJoin || (jt == vexec.LeftJoin && vj.Residual == nil) {
 		vj.Spill = p.spillRes("hashjoin")
 	}
-	if vjt == vexec.InnerJoin && left.cols != nil {
+	if jt == vexec.InnerJoin && left.cols != nil {
 		// Left-join probe rows must survive to null-extend, so only inner
 		// joins may prune them at the source.
 		var publish []*vexec.RuntimeFilter
@@ -1526,12 +1525,12 @@ func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64)
 		collect(si.Expr)
 	}
 
-	var node vexec.Node
-	node, err := p.hashAgg(q, input, aggRefs)
+	agg, err := p.hashAgg(q, input, aggRefs)
 	if err != nil {
 		return nil, err
 	}
-	setEstNode(node, est)
+	setEstNode(agg, est)
+	var node vexec.Node = agg
 
 	// Aggregate output layout: group values 0..G-1, aggregates G..G+A-1.
 	mapAgg := func(e algebra.Expr) (algebra.Expr, error) {

@@ -607,11 +607,15 @@ func branchQuery(q *algebra.Query, item algebra.SetOpItem) (*algebra.Query, erro
 			return nil, err
 		}
 		sub.SetOp = tree.(*algebra.SetOpNode)
+		kinds, err := algebra.SetOpKinds(sub.RangeTable, sub.SetOp)
+		if err != nil {
+			return nil, err
+		}
 		first := firstSetOpLeaf(sub.SetOp)
 		branch := sub.RangeTable[first.RT]
 		for ci, col := range branch.Cols {
 			sub.TargetList = append(sub.TargetList, algebra.TargetEntry{
-				Expr: &algebra.Var{RT: first.RT, Col: ci, Name: col.Name, Typ: col.Type},
+				Expr: &algebra.Var{RT: first.RT, Col: ci, Name: col.Name, Typ: kinds[ci]},
 				Name: col.Name,
 			})
 		}

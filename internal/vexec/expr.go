@@ -17,6 +17,7 @@ package vexec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"perm/internal/algebra"
@@ -131,7 +132,7 @@ type recordingBinder struct {
 
 func (r *recordingBinder) BindVar(v *algebra.Var) (int, error) {
 	pos, err := r.Binder.BindVar(v)
-	if err == nil {
+	if err == nil && !slices.Contains(r.cols, pos) {
 		r.cols = append(r.cols, pos)
 	}
 	return pos, err

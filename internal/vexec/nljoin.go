@@ -149,7 +149,7 @@ func (j *NLJoin) Next() (*vector.Batch, error) {
 
 // pairChunk assembles and emits the next batch of surviving pairs from
 // the current probe batch, or the null-extended unmatched lanes once all
-// pairs are exhausted (left join). Returns nil when the probe batch is
+// pairs are exhausted (left/full join). Returns nil when the probe batch is
 // fully consumed.
 func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 	n := j.build.n
@@ -189,8 +189,10 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 			}
 			j.Cond.FreeResult(pv)
 			j.selBuf = sel
-			for _, i := range sel {
-				j.markMatched(j.pairL[i], j.pairR[i])
+			if j.Type != InnerJoin {
+				for _, i := range sel {
+					j.markMatched(j.pairL[i], j.pairR[i])
+				}
 			}
 			if len(sel) == 0 {
 				continue
@@ -200,8 +202,10 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 			}
 			return out, nil
 		}
-		for i := range j.pairL {
-			j.markMatched(j.pairL[i], j.pairR[i])
+		if j.Type != InnerJoin {
+			for i := range j.pairL {
+				j.markMatched(j.pairL[i], j.pairR[i])
+			}
 		}
 		return out, nil
 	}

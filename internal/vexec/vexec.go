@@ -608,7 +608,7 @@ func (j *HashJoin) Open() (err error) {
 	j.heads = make(map[uint64]int32, total)
 	j.next = make([]int32, total)
 	for r := total - 1; r >= 0; r-- {
-		if j.nullKeyed(r) {
+		if j.Type.preservesRight() && j.nullKeyed(r) {
 			j.next[r] = -1
 			continue
 		}
@@ -643,7 +643,8 @@ func (j *HashJoin) Open() (err error) {
 }
 
 // nullKeyed reports whether build row r has a NULL in a key compared
-// without null-safety (it can match nothing).
+// without null-safety (it can match nothing). Only right and full joins
+// store such rows.
 func (j *HashJoin) nullKeyed(r int) bool {
 	for k, kv := range j.buildKeys {
 		if !j.NullSafe[k] && kv.Nulls.Get(r) {
@@ -931,11 +932,10 @@ type AggSpec struct {
 // HashAgg groups input rows by the group expressions and computes
 // aggregates per group; output rows are group values followed by
 // aggregate results; a global aggregation (no groups) emits one row even
-// for empty input. Under a
-// memory budget it spills Grace-style: when the group table no longer
-// fits, every group is flushed as a partial record (group values,
-// serialized accumulator state, first-appearance sequence number) into
-// hash partitions; partitions merge their partials independently after
+// for empty input. Under a memory budget it spills Grace-style: when the
+// group table no longer fits, every group is flushed as a partial record
+// (group values, serialized accumulator state, first-appearance sequence
+// number) into hash partitions; partitions merge their partials independently after
 // the drain (repartitioning recursively on skew) and a final merge on
 // the sequence numbers reproduces the exact in-memory group order.
 type HashAgg struct {
@@ -1077,8 +1077,7 @@ func (a *aggAcc) addGroup() {
 	}
 }
 
-// accumulate folds lane i of arg into group g, mirroring the row
-// engine's accumulate.
+// accumulate folds lane i of arg into group g.
 func (a *aggAcc) accumulate(g int, arg *vector.Vec, i int) {
 	if a.spec.Star {
 		a.count[g]++

@@ -459,3 +459,23 @@ func assertBatchPlan(t *testing.T, db *perm.Database, st oracleStmt) {
 	}
 	visit(reflect.ValueOf(node.(*vexec.RowSource).Input))
 }
+
+// TestVectorizedMixedKindSetOps: set-operation branches whose column
+// kinds differ produce columns of the common kind, which expressions and
+// joins above the set operation read like any other column.
+func TestVectorizedMixedKindSetOps(t *testing.T) {
+	db := perm.NewDatabase()
+	for q, want := range map[string]string{
+		`SELECT u.a + 1 FROM (SELECT 1 AS a UNION SELECT 1.5) AS u ORDER BY 1`:                            "[[2] [2.5]]",
+		`SELECT u.a, v.b FROM (SELECT 1 AS a UNION ALL SELECT 1.5) AS u, (SELECT 2 AS b) AS v ORDER BY 1`: "[[1 2] [1.5 2]]",
+		`SELECT u.x FROM (SELECT NULL AS x UNION ALL SELECT 'a') AS u WHERE u.x IS NOT NULL`:              "[[a]]",
+	} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := fmt.Sprint(res.Rows); got != want {
+			t.Errorf("%s = %s, want %s", q, got, want)
+		}
+	}
+}
